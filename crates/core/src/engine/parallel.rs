@@ -13,8 +13,8 @@
 //! Chunked claiming is what makes fine-grained items profitable: a
 //! worker grabs a run of adjacent indices per cursor operation (a
 //! guided-scheduling fraction of the remaining work, shrinking toward 1
-//! as the sweep drains), so thousands of sub-ms items — the thermal
-//! solver's red-black half-sweep rows, for instance — cost a handful of
+//! as the sweep drains), so thousands of sub-ms items — the points of
+//! a sensitivity sweep, for instance — cost a handful of
 //! compare-exchanges instead of one contended `fetch_add` each, while
 //! the tail still load-balances item by item. Which worker computes
 //! which index never affects the result, only the schedule.

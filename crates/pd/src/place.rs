@@ -7,6 +7,26 @@
 //! density-overflow penalty. Fixed clusters (the RRAM macro, the IO
 //! ring) anchor the optimisation. Capacity accounting is geometric, as
 //! defined by [`Region`].
+//!
+//! # Grouped cost bookkeeping
+//!
+//! Most inter-cluster nets repeat the cluster set of another net (a
+//! 32-bit bus between two PEs is 32 nets over the same two clusters),
+//! and nets with equal cluster sets have equal bounding boxes. The
+//! annealer therefore groups nets by cluster set and caches one HPWL per
+//! group. A move recomputes each of the moved cluster's groups once,
+//! then forms the HPWL change by replaying, in net order over the
+//! cluster's nets, `d -= old` for every net followed by `d += new` for
+//! every net, with each net reading its group's cached old and proposed
+//! values. Cached values are written back only when the move is
+//! accepted.
+//!
+//! **Invariant:** every cached group HPWL equals, bit for bit, the
+//! bounding box of its clusters at the current positions. Because the
+//! replay performs the same floating-point operations in the same order
+//! as summing per-net boxes would, every cost, accept decision, RNG
+//! draw, [`Placement`] and `place` span is bit-identical to per-net
+//! evaluation; the tests hold the placer to a per-net reference.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,6 +225,121 @@ impl Bins {
     }
 }
 
+/// HPWL of the bounding box of `clusters` at `pos`.
+fn box_hpwl(clusters: &[u32], pos: &[Point]) -> f64 {
+    let mut bb = BoundingBox::new();
+    for &c in clusters {
+        bb.include(pos[c as usize]);
+    }
+    bb.hpwl().value()
+}
+
+/// Inter-cluster HPWL bookkeeping behind the annealer's moves.
+trait HpwlCost<'a>: Sized {
+    /// Builds the bookkeeping at positions `pos`, returning it with the
+    /// total HPWL summed in net order.
+    fn build(clustering: &'a Clustering, pos: &[Point]) -> (Self, f64);
+
+    /// Moves cluster `ci` to `to` in `pos` and returns the HPWL change,
+    /// accumulated as `-old` for each of the cluster's nets in net
+    /// order, then `+new` for each.
+    fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> f64;
+
+    /// Keeps the last proposal for cluster `ci`. On rejection the caller
+    /// restores `pos` instead.
+    fn accept(&mut self, ci: usize);
+}
+
+/// The production cost model: one cached HPWL per group of nets that
+/// share a cluster set (see the module docs).
+struct GroupedNets {
+    /// Member clusters of group `g`: `members[member_start[g]..member_start[g + 1]]`.
+    members: Vec<u32>,
+    member_start: Vec<usize>,
+    /// HPWL of each group at the current positions.
+    hpwl: Vec<f64>,
+    /// HPWL of each of the last moved cluster's groups at its proposed
+    /// position.
+    proposed: Vec<f64>,
+    /// Per cluster, the group of each of its nets, in net order.
+    net_groups: Vec<Vec<u32>>,
+    /// Per cluster, its distinct groups.
+    groups: Vec<Vec<u32>>,
+}
+
+impl GroupedNets {
+    fn members(&self, g: usize) -> &[u32] {
+        &self.members[self.member_start[g]..self.member_start[g + 1]]
+    }
+}
+
+impl HpwlCost<'_> for GroupedNets {
+    fn build(clustering: &Clustering, pos: &[Point]) -> (Self, f64) {
+        let mut group_of: std::collections::HashMap<&[u32], u32> = Default::default();
+        let mut members = Vec::new();
+        let mut member_start = vec![0];
+        let mut net_groups = vec![Vec::new(); clustering.clusters.len()];
+        let mut group_of_net = Vec::with_capacity(clustering.nets.len());
+        for net in &clustering.nets {
+            let g = *group_of.entry(&net.clusters).or_insert_with(|| {
+                members.extend_from_slice(&net.clusters);
+                member_start.push(members.len());
+                (member_start.len() - 2) as u32
+            });
+            group_of_net.push(g);
+            for &c in &net.clusters {
+                net_groups[c as usize].push(g);
+            }
+        }
+        let groups = net_groups
+            .iter()
+            .map(|gs| {
+                let mut distinct = gs.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                distinct
+            })
+            .collect();
+        let hpwl: Vec<f64> = member_start
+            .windows(2)
+            .map(|w| box_hpwl(&members[w[0]..w[1]], pos))
+            .collect();
+        let total = group_of_net.iter().map(|&g| hpwl[g as usize]).sum();
+        let proposed = vec![0.0; hpwl.len()];
+        let cost = Self {
+            members,
+            member_start,
+            hpwl,
+            proposed,
+            net_groups,
+            groups,
+        };
+        (cost, total)
+    }
+
+    fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> f64 {
+        pos[ci] = to;
+        for &g in &self.groups[ci] {
+            self.proposed[g as usize] = box_hpwl(self.members(g as usize), pos);
+        }
+        let nets = &self.net_groups[ci];
+        let mut d_hpwl = 0.0;
+        for &g in nets {
+            d_hpwl -= self.hpwl[g as usize];
+        }
+        for &g in nets {
+            d_hpwl += self.proposed[g as usize];
+        }
+        d_hpwl
+    }
+
+    fn accept(&mut self, ci: usize) {
+        for &g in &self.groups[ci] {
+            self.hpwl[g as usize] = self.proposed[g as usize];
+        }
+    }
+}
+
 /// Runs global placement.
 ///
 /// # Errors
@@ -232,6 +367,16 @@ pub fn place_traced(
     floorplan: &Floorplan,
     config: &PlacerConfig,
 ) -> PdResult<(Placement, FlowSpan)> {
+    anneal::<GroupedNets>(clustering, floorplan, config).map(|(p, span, _)| (p, span))
+}
+
+/// The placer over cost model `C`, which it also returns in its final
+/// state.
+fn anneal<'a, C: HpwlCost<'a>>(
+    clustering: &'a Clustering,
+    floorplan: &Floorplan,
+    config: &PlacerConfig,
+) -> PdResult<(Placement, FlowSpan, C)> {
     let n = clustering.clusters.len();
     let mut pos = vec![Point::default(); n];
     let mut region_of = vec![usize::MAX; n];
@@ -310,20 +455,7 @@ pub fn place_traced(
     }
 
     // --- Cost bookkeeping -------------------------------------------------
-    let net_hpwl = |net_idx: usize, pos: &[Point]| -> f64 {
-        let mut bb = BoundingBox::new();
-        for &c in &clustering.nets[net_idx].clusters {
-            bb.include(pos[c as usize]);
-        }
-        bb.hpwl().value()
-    };
-    let mut cluster_nets: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (ni, net) in clustering.nets.iter().enumerate() {
-        for &c in &net.clusters {
-            cluster_nets[c as usize].push(ni as u32);
-        }
-    }
-    let mut hpwl_total: f64 = (0..clustering.nets.len()).map(|i| net_hpwl(i, &pos)).sum();
+    let (mut cost, mut hpwl_total) = C::build(clustering, &pos);
     let initial_hpwl = hpwl_total;
 
     let mut bins = Bins::new(floorplan, config.bin_size_um);
@@ -373,15 +505,7 @@ pub fn place_traced(
                 let new_p = Point::new(rng.gen_range(lo_x..=hi_x), rng.gen_range(lo_y..=hi_y));
                 let old_p = pos[ci];
 
-                // Delta HPWL.
-                let mut d_hpwl = 0.0;
-                for &ni in &cluster_nets[ci] {
-                    d_hpwl -= net_hpwl(ni as usize, &pos);
-                }
-                pos[ci] = new_p;
-                for &ni in &cluster_nets[ci] {
-                    d_hpwl += net_hpwl(ni as usize, &pos);
-                }
+                let d_hpwl = cost.propose(&mut pos, ci, new_p);
                 // Delta overflow.
                 let d_of_rm = bins.apply(old_p, side_old, d_old, -1.0);
                 let d_of_add = bins.apply(new_p, side_new, d_new, 1.0);
@@ -390,6 +514,7 @@ pub fn place_traced(
                 let accept = d_cost <= 0.0 || rng.gen::<f64>() < (-d_cost / temp).exp();
                 if accept {
                     accepted += 1;
+                    cost.accept(ci);
                     hpwl_total += d_hpwl;
                     if ri_new != ri_old {
                         region_used[ri_old] -= d_old;
@@ -481,6 +606,7 @@ pub fn place_traced(
             overflow: SquareMicrons::new(bins.total_overflow()),
         },
         span,
+        cost,
     ))
 }
 
@@ -511,6 +637,164 @@ mod tests {
         let fp = Floorplan::plan(&pdk, &cfg, &nl, None).unwrap();
         let cl = Clustering::build(&nl, &pdk).unwrap();
         (cl, fp)
+    }
+
+    /// The per-net cost model the grouped one replaced: every net's
+    /// bounding box recomputed on every move. The reference the
+    /// production annealer must match bit for bit.
+    struct PerNet<'a> {
+        clustering: &'a Clustering,
+        cluster_nets: Vec<Vec<u32>>,
+    }
+
+    impl<'a> HpwlCost<'a> for PerNet<'a> {
+        fn build(clustering: &'a Clustering, pos: &[Point]) -> (Self, f64) {
+            let mut cluster_nets = vec![Vec::new(); clustering.clusters.len()];
+            for (ni, net) in clustering.nets.iter().enumerate() {
+                for &c in &net.clusters {
+                    cluster_nets[c as usize].push(ni as u32);
+                }
+            }
+            let total = clustering
+                .nets
+                .iter()
+                .map(|net| box_hpwl(&net.clusters, pos))
+                .sum();
+            (
+                Self {
+                    clustering,
+                    cluster_nets,
+                },
+                total,
+            )
+        }
+
+        fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> f64 {
+            let nets = &self.clustering.nets;
+            let mut d_hpwl = 0.0;
+            for &ni in &self.cluster_nets[ci] {
+                d_hpwl -= box_hpwl(&nets[ni as usize].clusters, pos);
+            }
+            pos[ci] = to;
+            for &ni in &self.cluster_nets[ci] {
+                d_hpwl += box_hpwl(&nets[ni as usize].clusters, pos);
+            }
+            d_hpwl
+        }
+
+        fn accept(&mut self, _ci: usize) {}
+    }
+
+    /// Every `f64` of a placement as bits, plus its region assignment.
+    fn placement_bits(p: &Placement) -> (Vec<u64>, &[usize]) {
+        let points = p.cluster_pos.iter().chain(&p.cell_pos).chain(&p.macro_pos);
+        let mut bits: Vec<u64> = points
+            .flat_map(|pt| [pt.x.value().to_bits(), pt.y.value().to_bits()])
+            .collect();
+        bits.extend(
+            [
+                p.inter_hpwl.value(),
+                p.intra_wl.value(),
+                p.initial_hpwl.value(),
+                p.overflow.value(),
+            ]
+            .map(f64::to_bits),
+        );
+        (bits, &p.cluster_region)
+    }
+
+    /// Small designs the equivalence property anneals: the small-CS 2D
+    /// baseline, the 2D design ingested back from its structural
+    /// Verilog, and iso-footprint M3D(2) and M3D(4) (the RRAM banks do
+    /// not split three ways).
+    fn designs() -> &'static [(&'static str, Clustering, Floorplan)] {
+        static DESIGNS: std::sync::OnceLock<Vec<(&str, Clustering, Floorplan)>> =
+            std::sync::OnceLock::new();
+        DESIGNS.get_or_init(|| {
+            let cfg2d = SocConfig {
+                cs: small_cs(),
+                ..SocConfig::baseline_2d()
+            };
+            let pdk2d = Pdk::baseline_2d_130nm();
+            let mut nl2d = Netlist::new("soc");
+            accelerator_soc(&mut nl2d, &cfg2d).unwrap();
+            let fp2d = Floorplan::plan(&pdk2d, &cfg2d, &nl2d, None).unwrap();
+            let ingested = m3d_netlist::from_verilog(&m3d_netlist::to_verilog(&nl2d)).unwrap();
+            let mut out = vec![
+                (
+                    "2d",
+                    Clustering::build(&nl2d, &pdk2d).unwrap(),
+                    fp2d.clone(),
+                ),
+                (
+                    "ingested",
+                    Clustering::build(&ingested, &pdk2d).unwrap(),
+                    Floorplan::plan(&pdk2d, &cfg2d, &ingested, None).unwrap(),
+                ),
+            ];
+            let pdk3d = Pdk::m3d_130nm();
+            for (name, cs_count) in [("m3d2", 2), ("m3d4", 4)] {
+                let cfg = SocConfig {
+                    cs: small_cs(),
+                    ..SocConfig::m3d(cs_count)
+                };
+                let mut nl = Netlist::new(name);
+                accelerator_soc(&mut nl, &cfg).unwrap();
+                let fp = Floorplan::plan(&pdk3d, &cfg, &nl, Some(fp2d.die)).unwrap();
+                out.push((name, Clustering::build(&nl, &pdk3d).unwrap(), fp));
+            }
+            out
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn grouped_annealer_matches_the_per_net_reference(
+            design in 0usize..4,
+            seed in 0u64..u64::MAX,
+            quick in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(true),
+                proptest::prelude::Just(false)
+            ],
+            bin_size_um in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(150.0),
+                proptest::prelude::Just(500.0),
+                proptest::prelude::Just(1200.0)
+            ],
+        ) {
+            let (name, cl, fp) = &designs()[design];
+            let base = if quick { PlacerConfig::quick() } else { PlacerConfig::default() };
+            let cfg = PlacerConfig { seed, bin_size_um, ..base };
+            let (want, want_span, _) = anneal::<PerNet>(cl, fp, &cfg).unwrap();
+            let (got, got_span) = place_traced(cl, fp, &cfg).unwrap();
+            let case = format!("{name} seed={seed} quick={quick} bin={bin_size_um}");
+            proptest::prop_assert_eq!(placement_bits(&got), placement_bits(&want), "{}", case);
+            proptest::prop_assert_eq!(got_span, want_span, "{}", case);
+        }
+    }
+
+    #[test]
+    fn cached_group_hpwl_matches_a_fresh_bounding_box_after_annealing() {
+        for (name, cl, fp) in designs() {
+            let (p, _, cost) = anneal::<GroupedNets>(cl, fp, &PlacerConfig::default()).unwrap();
+            assert!(cost.hpwl.len() < cl.nets.len(), "{name}: nets share groups");
+            for (g, cached) in cost.hpwl.iter().enumerate() {
+                let fresh = box_hpwl(cost.members(g), &p.cluster_pos);
+                assert_eq!(cached.to_bits(), fresh.to_bits(), "{name} group {g}");
+            }
+            // Each cluster lists, in net order, the group of its own
+            // cluster set for every net it is on.
+            let mut seen = vec![0usize; cl.clusters.len()];
+            for (ni, net) in cl.nets.iter().enumerate() {
+                for &c in &net.clusters {
+                    let g = cost.net_groups[c as usize][seen[c as usize]] as usize;
+                    seen[c as usize] += 1;
+                    assert_eq!(cost.members(g), &net.clusters[..], "{name} net {ni}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -211,12 +211,13 @@ pub fn analyze_timing(
     let mut worst_net: Option<usize> = None;
     let mut endpoints = 0usize;
     let mut violations = 0usize;
-    // Top-k endpoint table (report_timing style).
+    // Top-k endpoint table (report_timing style). Labels are formatted
+    // only for endpoints that enter it.
     const TOP_K: usize = 8;
     let mut top: Vec<EndpointSlack> = Vec::with_capacity(TOP_K + 1);
     let mut check = |required_extra: f64,
                      ni: usize,
-                     endpoint: String,
+                     endpoint: &dyn Fn() -> String,
                      arrival: &[Option<f64>],
                      worst: &mut f64,
                      worst_net: &mut Option<usize>,
@@ -233,7 +234,7 @@ pub fn analyze_timing(
         }
         if top.len() < TOP_K || a > top.last().map_or(0.0, |e| e.arrival_ns) {
             top.push(EndpointSlack {
-                endpoint,
+                endpoint: endpoint(),
                 arrival_ns: a,
                 slack_ns: period - a,
             });
@@ -256,7 +257,7 @@ pub fn analyze_timing(
                 check(
                     setup,
                     n.0 as usize,
-                    format!("{}/D", cell.name),
+                    &|| format!("{}/D", cell.name),
                     &arrival,
                     &mut worst,
                     &mut worst_net,
@@ -272,7 +273,7 @@ pub fn analyze_timing(
             check(
                 MACRO_SETUP_NS,
                 n.0 as usize,
-                m.name.clone(),
+                &|| m.name.clone(),
                 &arrival,
                 &mut worst,
                 &mut worst_net,
@@ -285,7 +286,7 @@ pub fn analyze_timing(
         check(
             0.0,
             n.0 as usize,
-            format!("PO {}", netlist.nets()[n.0 as usize].name),
+            &|| format!("PO {}", netlist.nets()[n.0 as usize].name),
             &arrival,
             &mut worst,
             &mut worst_net,

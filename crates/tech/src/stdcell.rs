@@ -264,6 +264,36 @@ fn base_params(kind: CellKind) -> (f64, f64, f64, f64, f64, f64) {
     }
 }
 
+/// Number of drive strengths offered for `kind`, counted from X1: only
+/// INV/BUF/NAND2/DFF get the full ladder; other kinds stop at X2
+/// (typical of a lean foundry library).
+const fn ladder_len(kind: CellKind) -> usize {
+    match kind {
+        CellKind::Inv | CellKind::Buf | CellKind::Nand2 | CellKind::Dff => 4,
+        _ => 2,
+    }
+}
+
+/// Index of each kind's X1 cell in a library laid out by
+/// [`CellLibrary::build`]: kinds in [`CellKind::ALL`] order, each with
+/// its drive ladder in [`DriveStrength::ALL`] order.
+const LADDER_START: [usize; CellKind::ALL.len()] = {
+    let mut start = [0; CellKind::ALL.len()];
+    let mut k = 1;
+    while k < start.len() {
+        start[k] = start[k - 1] + ladder_len(CellKind::ALL[k - 1]);
+        k += 1;
+    }
+    start
+};
+
+/// Index of `(kind, drive)` in a built library; `None` when the variant
+/// is beyond the kind's ladder.
+fn built_slot(kind: CellKind, drive: DriveStrength) -> Option<usize> {
+    let d = drive as usize;
+    (d < ladder_len(kind)).then(|| LADDER_START[kind as usize] + d)
+}
+
 impl CellLibrary {
     /// The 130 nm Si CMOS FEOL library.
     pub fn si_cmos_130() -> Self {
@@ -297,16 +327,7 @@ impl CellLibrary {
         let mut cells = Vec::new();
         for kind in CellKind::ALL {
             let (sites, cin, d0, r1, leak, eint) = base_params(kind);
-            for drive in DriveStrength::ALL {
-                // Only INV/BUF/NAND2/DFF get the full drive ladder; other
-                // kinds stop at X2 (typical of a lean foundry library).
-                let max_mult = match kind {
-                    CellKind::Inv | CellKind::Buf | CellKind::Nand2 | CellKind::Dff => 8.0,
-                    _ => 2.0,
-                };
-                if drive.multiple() > max_mult {
-                    continue;
-                }
+            for &drive in &DriveStrength::ALL[..ladder_len(kind)] {
                 let m = drive.multiple();
                 // Width grows sub-linearly with drive (shared diffusion).
                 let width_sites = (sites + (m - 1.0) * sites * 0.6) * area_scale;
@@ -353,9 +374,14 @@ impl CellLibrary {
     /// Returns [`TechError::UnknownCell`] when the library has no such
     /// variant (not every kind is offered at every drive).
     pub fn cell(&self, kind: CellKind, drive: DriveStrength) -> TechResult<&StdCell> {
-        self.cells
-            .iter()
-            .find(|c| c.kind == kind && c.drive == drive)
+        let is_variant = |c: &&StdCell| c.kind == kind && c.drive == drive;
+        // Built libraries hold the variant at a computed slot; the entry
+        // is checked, so a library deserialised in another order still
+        // resolves by scan.
+        built_slot(kind, drive)
+            .and_then(|i| self.cells.get(i))
+            .filter(is_variant)
+            .or_else(|| self.cells.iter().find(is_variant))
             .ok_or_else(|| TechError::UnknownCell {
                 name: format!("{}_{}", kind.base_name(), drive.suffix()),
                 library: self.name.clone(),
@@ -494,6 +520,66 @@ mod tests {
         assert!(!CellKind::FullAdder.is_sequential());
         assert_eq!(CellKind::FullAdder.output_count(), 2);
         assert_eq!(CellKind::Mux2.input_count(), 3);
+    }
+
+    /// The lookup before it became a slot index: a scan of the cells.
+    fn scan(lib: &CellLibrary, kind: CellKind, drive: DriveStrength) -> TechResult<&StdCell> {
+        lib.cells
+            .iter()
+            .find(|c| c.kind == kind && c.drive == drive)
+            .ok_or_else(|| TechError::UnknownCell {
+                name: format!("{}_{}", kind.base_name(), drive.suffix()),
+                library: lib.name.clone(),
+            })
+    }
+
+    #[test]
+    fn slot_lookup_matches_a_linear_scan() {
+        let mut libs = vec![CellLibrary::si_cmos_130()];
+        for delta in [1.0, 1.5, 2.0, 3.7] {
+            libs.push(CellLibrary::cnfet_beol_130(delta).unwrap());
+        }
+        for lib in libs.clone() {
+            libs.extend(crate::Corner::ALL.map(|corner| lib.at_corner(corner)));
+        }
+        for lib in &libs {
+            for kind in CellKind::ALL {
+                for drive in DriveStrength::ALL {
+                    let want = scan(lib, kind, drive);
+                    let got = lib.cell(kind, drive);
+                    assert_eq!(got, want, "{} {kind:?} {drive:?}", lib.name);
+                    // Present variants resolve at their computed slot,
+                    // not through the fallback scan.
+                    if let Ok(cell) = want {
+                        let slot = built_slot(kind, drive).expect("present variant has a slot");
+                        assert!(std::ptr::eq(&lib.cells[slot], cell));
+                    }
+                }
+            }
+        }
+        let si = &libs[0];
+        assert_eq!(
+            si.cell(CellKind::Xor2, DriveStrength::X8),
+            Err(TechError::UnknownCell {
+                name: "XOR2_X8".to_owned(),
+                library: "si_cmos_130".to_owned(),
+            })
+        );
+    }
+
+    #[test]
+    fn reordered_library_still_resolves_every_variant() {
+        let built = CellLibrary::si_cmos_130();
+        let mut shuffled = built.clone();
+        shuffled.cells.reverse();
+        for kind in CellKind::ALL {
+            for drive in DriveStrength::ALL {
+                assert_eq!(
+                    shuffled.cell(kind, drive).map(|c| &c.name),
+                    built.cell(kind, drive).map(|c| &c.name)
+                );
+            }
+        }
     }
 
     #[test]

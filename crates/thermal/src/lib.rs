@@ -11,9 +11,8 @@
 //! 2. **Deposit** — [`PowerMap`] lays heat onto the source layers:
 //!    uniform per-pair budgets for sweeps, or the physical-design
 //!    sign-off's [`m3d_pd::PowerDensityGrid`] resampled tile-by-tile.
-//! 3. **Solve** — [`solve_steady`] runs red-black SOR, fanned out over
-//!    [`m3d_core::engine::par_map`] yet bitwise deterministic at any
-//!    worker count; [`step_phases`] adds a coarse explicit-Euler
+//! 3. **Solve** — [`solve_steady`] runs red-black SOR on the calling
+//!    thread, deterministic at any worker count; [`step_phases`] adds a coarse explicit-Euler
 //!    transient driven by `m3d-arch` workload [`m3d_arch::trace::Phase`]s.
 //!
 //! [`GridThermalModel`] plugs the grid into tier sweeps and sensitivity
@@ -37,5 +36,5 @@ pub use error::{ThermalError, ThermalResult};
 pub use grid::GridConfig;
 pub use model::{GridThermalModel, LumpedGridModel};
 pub use power::PowerMap;
-pub use solve::{engage_parallel, solve_steady, SolverConfig, SteadySolution};
+pub use solve::{solve_steady, SolverConfig, SteadySolution};
 pub use transient::{phase_power, step_phases, PhaseInterval, TransientConfig, TransientResult};

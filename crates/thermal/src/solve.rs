@@ -3,19 +3,16 @@
 //!
 //! The grid is two-colored by `(i + j + l) % 2`; every neighbour of a
 //! red cell is black and vice versa, so all cells of one color update
-//! independently from a consistent snapshot of the other. The parallel
-//! path fans row-segments of one color out over
-//! [`m3d_core::engine::par_map`] and scatters the results back by input
-//! index — the arithmetic per cell is the same expression the serial
-//! in-place sweep evaluates, so the solution is **bitwise identical at
-//! any worker count** (the property the determinism harness checks).
-//! Convergence is judged on the sweep's maximum absolute update, an
-//! order-independent reduction.
+//! independently from a consistent snapshot of the other. Each
+//! half-sweep runs in place on the calling thread: a half-sweep is a few
+//! µs of arithmetic, far less than handing its rows to worker threads
+//! would cost, so parallelism lives one level up (independent solves of
+//! a sweep run concurrently). The solution does not depend on the worker
+//! count. Convergence is judged on the sweep's maximum absolute update.
 //!
 //! The solve runs in the *rise* domain: ambient is 0 K and the returned
 //! field is the temperature rise above it.
 
-use m3d_core::engine::{jobs, par_map};
 use m3d_tech::{StableHash, StableHasher};
 use serde::{Deserialize, Serialize};
 
@@ -24,11 +21,6 @@ use crate::grid::{Assembled, GridConfig};
 use crate::power::PowerMap;
 
 /// Iteration controls for the SOR solve.
-///
-/// There is deliberately no parallelism knob here: whether a half-sweep
-/// fans out is decided from the worker budget ([`jobs`]) and the grid
-/// shape alone (see [`engage_parallel`]), never affects the result, and
-/// therefore never splits a cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverConfig {
     /// Iteration cap (one iteration = one red + one black half-sweep).
@@ -55,19 +47,6 @@ impl StableHash for SolverConfig {
         self.tol_k.stable_hash(h);
         self.omega.stable_hash(h);
     }
-}
-
-/// Whether a grid's half-sweeps run on the parallel executor: yes as
-/// soon as more than one worker is available and there are enough
-/// `(layer, row)` segments to hand every worker several chunks.
-///
-/// This replaces the old fixed cell-count threshold (8192): with
-/// chunked work stealing in [`par_map`] the µs-grained rows amortise
-/// their claiming cost, so the only shapes kept serial are degenerate
-/// ones (lumped 1×1 validation chains and the like) where a half-sweep
-/// has fewer segments than would occupy the workers at all.
-pub fn engage_parallel(row_segments: usize, workers: usize) -> bool {
-    workers > 1 && row_segments >= 4 * workers
 }
 
 impl SolverConfig {
@@ -184,9 +163,9 @@ impl Stencil<'_> {
         (1.0 - self.omega) * t[idx] + self.omega * t_gs
     }
 
-    /// One serial in-place half-sweep over `color`; returns the max
-    /// absolute update.
-    fn half_sweep_serial(&self, t: &mut [f64], color: usize) -> f64 {
+    /// One in-place half-sweep over `color`; returns the max absolute
+    /// update.
+    fn half_sweep(&self, t: &mut [f64], color: usize) -> f64 {
         let a = self.asm;
         let mut max_d = 0.0f64;
         for l in 0..a.nz {
@@ -197,34 +176,6 @@ impl Stencil<'_> {
                     max_d = max_d.max((new - t[idx]).abs());
                     t[idx] = new;
                 }
-            }
-        }
-        max_d
-    }
-
-    /// One parallel half-sweep over `color`: each `(l, j)` row segment
-    /// is computed out-of-place from the shared snapshot — legal
-    /// because same-color cells never read each other — then scattered
-    /// back in input order. Produces exactly the serial sweep's values.
-    fn half_sweep_parallel(&self, t: &mut Vec<f64>, color: usize, rows: &[(usize, usize)]) -> f64 {
-        let a = self.asm;
-        let snapshot: &[f64] = t;
-        let updated: Vec<(Vec<f64>, f64)> = par_map(rows, |&(l, j)| {
-            let mut vals = Vec::with_capacity(a.nx / 2 + 1);
-            let mut max_d = 0.0f64;
-            for i in ((l + j + color) % 2..a.nx).step_by(2) {
-                let new = self.updated(snapshot, i, j, l);
-                let idx = (l * a.ny + j) * a.nx + i;
-                max_d = max_d.max((new - snapshot[idx]).abs());
-                vals.push(new);
-            }
-            (vals, max_d)
-        });
-        let mut max_d = 0.0f64;
-        for (&(l, j), (vals, row_d)) in rows.iter().zip(&updated) {
-            max_d = max_d.max(*row_d);
-            for (k, i) in ((l + j + color) % 2..a.nx).step_by(2).enumerate() {
-                t[(l * a.ny + j) * a.nx + i] = vals[k];
             }
         }
         max_d
@@ -243,18 +194,6 @@ pub fn solve_steady(
     power: &PowerMap,
     cfg: &SolverConfig,
 ) -> ThermalResult<SteadySolution> {
-    let row_segments = grid.nz() * grid.ny;
-    solve_steady_forced(grid, power, cfg, engage_parallel(row_segments, jobs()))
-}
-
-/// [`solve_steady`] with the parallel/serial decision pinned — the
-/// bitwise-identity harness drives both paths through this.
-fn solve_steady_forced(
-    grid: &GridConfig,
-    power: &PowerMap,
-    cfg: &SolverConfig,
-    parallel: bool,
-) -> ThermalResult<SteadySolution> {
     power.check(grid)?;
     cfg.check()?;
     let asm = grid.assemble();
@@ -265,20 +204,13 @@ fn solve_steady_forced(
         q: &q,
         omega: cfg.omega,
     };
-    let rows: Vec<(usize, usize)> = (0..asm.nz)
-        .flat_map(|l| (0..asm.ny).map(move |j| (l, j)))
-        .collect();
     let mut iterations = 0;
     let mut converged = false;
     while iterations < cfg.max_iters {
         iterations += 1;
         let mut max_d = 0.0f64;
         for color in 0..2 {
-            max_d = max_d.max(if parallel {
-                stencil.half_sweep_parallel(&mut t, color, &rows)
-            } else {
-                stencil.half_sweep_serial(&mut t, color)
-            });
+            max_d = max_d.max(stencil.half_sweep(&mut t, color));
         }
         if max_d < cfg.tol_k {
             converged = true;
@@ -288,14 +220,6 @@ fn solve_steady_forced(
     let peak = t.iter().fold(0.0f64, |m, &v| m.max(v));
     let rec = m3d_core::obs::Recorder::global();
     rec.incr("thermal.solves", 1);
-    rec.incr(
-        if parallel {
-            "thermal.solves_parallel"
-        } else {
-            "thermal.solves_serial"
-        },
-        1,
-    );
     rec.observe(
         "thermal.sor_iterations",
         iterations as u64,
@@ -329,35 +253,6 @@ mod tests {
         assert!(s.converged);
         assert!(s.t_k.iter().all(|&t| t == 0.0));
         assert_eq!(s.peak_rise_k, 0.0);
-    }
-
-    #[test]
-    fn serial_and_parallel_sweeps_agree_bitwise() {
-        let g = grid();
-        let p = PowerMap::uniform(&g, 5.0);
-        let cfg = SolverConfig::default();
-        let a = solve_steady_forced(&g, &p, &cfg, false).unwrap();
-        let b = solve_steady_forced(&g, &p, &cfg, true).unwrap();
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.t_k, b.t_k, "bitwise-identical fields");
-        assert_eq!(
-            a.peak_rise_k.to_bits(),
-            b.peak_rise_k.to_bits(),
-            "bitwise-identical peak"
-        );
-    }
-
-    #[test]
-    fn parallel_engages_on_worker_budget_and_shape_not_cell_count() {
-        // Degenerate shapes (lumped validation chains) stay serial;
-        // anything with enough row segments fans out once workers exist.
-        assert!(!engage_parallel(8, 1), "one worker is always serial");
-        assert!(
-            !engage_parallel(7, 2),
-            "too few segments to occupy 2 workers"
-        );
-        assert!(engage_parallel(8, 2));
-        assert!(engage_parallel(160, 8), "obs10-scale grids now parallelise");
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! trace produces the heat-up/cool-down excursions the steady solve
 //! averages away. The step size is the explicit-stability limit
 //! `min(C / ΣG)` scaled by a safety factor, and the integration is a
-//! plain serial loop (deterministic by construction; the heavy parallel
-//! path is the steady SOR solve).
+//! plain serial loop, deterministic by construction.
 
 use m3d_arch::trace::Phase;
 use m3d_tech::thermal_profile::HeatSource;

@@ -5,8 +5,8 @@
 #
 # Runs the release build, the full test suite, and the formatting check
 # (a superset of the driver's gate, see ROADMAP.md, "Tier-1 verify").
-# --workspace matters: a plain `cargo build` at the root only builds the
-# facade package and would let bench-binary breakage through.
+# `default-members` makes a plain `cargo build`/`cargo test` at the root
+# cover the workspace too; --workspace keeps that explicit here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
