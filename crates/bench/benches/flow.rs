@@ -8,6 +8,7 @@
 //! bench and asserts only non-timing facts about that file plus the
 //! byte-identity of warm and cold reports.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -46,19 +47,19 @@ fn sweep_grid() -> Vec<f64> {
 fn sweep_cold() -> Duration {
     let t = Instant::now();
     for a in sweep_grid() {
-        black_box(Rtl2GdsFlow::new(sweep_cfg(a)).run_seeded(None).unwrap());
+        black_box(Rtl2GdsFlow::new(sweep_cfg(a)).run().unwrap());
     }
     t.elapsed()
 }
 
 /// One full sweep, warm: the first point anneals, later points reuse
 /// its placement seed and re-evaluate sign-off only.
-fn sweep_warm(seed: &PlacementSeed) -> Duration {
+fn sweep_warm(seed: &Arc<PlacementSeed>) -> Duration {
     let t = Instant::now();
     for a in sweep_grid() {
         black_box(
             Rtl2GdsFlow::new(sweep_cfg(a))
-                .run_seeded(Some(seed))
+                .run_seeded(Some(Arc::clone(seed)))
                 .unwrap(),
         );
     }
@@ -74,21 +75,18 @@ fn bench_warmstart(c: &mut Criterion) {
     // Non-timing sanity first: a warm-started run must reproduce the
     // cold run byte for byte (same report, placement, span tree).
     let grid = sweep_grid();
-    let (cold_report, cold_artifacts, cold_span, warm_flag) = Rtl2GdsFlow::new(sweep_cfg(grid[0]))
-        .run_seeded(None)
-        .unwrap();
-    assert!(!warm_flag, "no seed given, run must be cold");
-    let seed = cold_artifacts.seed.clone();
+    let (_, cold_artifacts) = Rtl2GdsFlow::new(sweep_cfg(grid[0])).run().unwrap();
+    assert!(!cold_artifacts.warm, "no seed given, run must be cold");
+    let seed = cold_artifacts.seed;
     let probe = grid[grid.len() - 1];
-    let (wr, wa, ws, warmed) = Rtl2GdsFlow::new(sweep_cfg(probe))
-        .run_seeded(Some(&seed))
+    let (wr, wa) = Rtl2GdsFlow::new(sweep_cfg(probe))
+        .run_seeded(Some(Arc::clone(&seed)))
         .unwrap();
-    assert!(warmed, "neighbour seed shares the placement key");
-    let (cr, ca, cs2, _) = Rtl2GdsFlow::new(sweep_cfg(probe)).run_seeded(None).unwrap();
+    assert!(wa.warm, "neighbour seed shares the placement key");
+    let (cr, ca) = Rtl2GdsFlow::new(sweep_cfg(probe)).run().unwrap();
     assert_eq!(wr, cr, "warm report must equal cold");
     assert_eq!(wa.placement, ca.placement, "warm placement must equal cold");
-    assert_eq!(ws, cs2, "warm span tree must equal cold");
-    drop((cold_report, cold_span));
+    assert_eq!(wa.span, ca.span, "warm span tree must equal cold");
 
     c.bench_function("flow_sweep_cold_6pt", |b| b.iter(sweep_cold));
     c.bench_function("flow_sweep_warm_6pt", |b| b.iter(|| sweep_warm(&seed)));

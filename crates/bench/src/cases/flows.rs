@@ -2,8 +2,6 @@
 //! congestion ablation, the multi-corner sign-off, and the prior-work
 //! folding baseline.
 
-use std::sync::Arc;
-
 use m3d_core::engine::{corner_sweep, par_map, FetchOpts, FlowCache, FlowFetch, Stage, StageCtx};
 use m3d_pd::{analyze_congestion, fold_two_tier, Clustering, FlowConfig, FlowReport};
 use m3d_tech::{Corner, Pdk};
@@ -14,23 +12,23 @@ use crate::registry::{
     field, obj, param_u64, reject_unknown, Case, CaseCtx, CaseError, CaseOutcome, ParamField,
 };
 
-/// Runs `cfg` through the flow cache under an active stage: provenance
-/// marks the stage, a fresh compute attaches the flow's sub-spans.
-pub(crate) fn staged_report(
+/// Fetches `cfg` through the flow cache under an active stage: a reused
+/// result marks the stage a cache hit, a fresh compute attaches the
+/// flow's sub-spans.
+pub(crate) fn staged_fetch(
     flows: &FlowCache,
     sctx: &mut StageCtx,
     cfg: &FlowConfig,
-) -> Result<(Arc<FlowReport>, bool), CaseError> {
-    let fetch = flows
-        .fetch(cfg, FetchOpts::report())
-        .map_err(CaseError::internal)?;
-    let hit = fetch.reused();
-    if hit {
+    opts: FetchOpts,
+) -> Result<FlowFetch, CaseError> {
+    let fetch = flows.fetch(cfg, opts).map_err(CaseError::internal)?;
+    if fetch.reused() {
         sctx.mark_cache_hit();
-    } else if let Some(sub) = flows.sub_span(cfg) {
-        sctx.child_span((*sub).clone());
+    } else if let Some(flow) = &fetch.artifacts {
+        // A run this caller is accountable for always carries its flow.
+        sctx.child_span(flow.1.span.clone());
     }
-    Ok((fetch.report, hit))
+    Ok(fetch)
 }
 
 // --- fig2_physical_design -----------------------------------------------
@@ -56,21 +54,17 @@ impl Case for Fig2PhysicalDesignCase {
         reject_unknown(params, &[])?;
         let cs = case_cs(quick);
         let prep = |c: FlowConfig| if quick { c.quick() } else { c };
-        let (r2d, hit2d) = ctx.stage(Stage::PdFlow, "2d", |sctx| {
-            staged_report(
-                ctx.flows,
-                sctx,
-                &prep(FlowConfig::baseline_2d().with_cs(cs)),
-            )
+        let f2d = ctx.stage(Stage::PdFlow, "2d", |sctx| {
+            let cfg = prep(FlowConfig::baseline_2d().with_cs(cs));
+            staged_fetch(ctx.flows, sctx, &cfg, FetchOpts::report())
         })?;
+        let r2d = &*f2d.report;
         let n = 1 + r2d.extra_cs_capacity.max(if quick { 1 } else { 7 });
-        let (r3d, hit3d) = ctx.stage(Stage::PdFlow, "m3d", |sctx| {
-            staged_report(
-                ctx.flows,
-                sctx,
-                &prep(FlowConfig::m3d(n).with_cs(cs)).with_die(r2d.die),
-            )
+        let f3d = ctx.stage(Stage::PdFlow, "m3d", |sctx| {
+            let cfg = prep(FlowConfig::m3d(n).with_cs(cs)).with_die(r2d.die);
+            staged_fetch(ctx.flows, sctx, &cfg, FetchOpts::report())
         })?;
+        let r3d = &*f3d.report;
         let design = |label: &str, r: &FlowReport| {
             obj(vec![
                 ("design", Value::Str(label.to_owned())),
@@ -92,10 +86,10 @@ impl Case for Fig2PhysicalDesignCase {
                 ),
                 (
                     "designs",
-                    Value::Array(vec![design("2d", &r2d), design("m3d", &r3d)]),
+                    Value::Array(vec![design("2d", r2d), design("m3d", r3d)]),
                 ),
             ]),
-            cache_hit: hit2d && hit3d,
+            cache_hit: f2d.reused() && f3d.reused(),
             coalesced: false,
         })
     }
@@ -125,47 +119,24 @@ impl Case for AblationCongestionCase {
         reject_unknown(params, &[])?;
         let cs = case_cs(quick);
         let prep = |c: FlowConfig| if quick { c.quick() } else { c };
-        let (res2d, hit2d) = ctx.stage(Stage::PdFlow, "2d", |sctx| {
+        let f2d = ctx.stage(Stage::PdFlow, "2d", |sctx| {
             let cfg = prep(FlowConfig::baseline_2d().with_cs(cs));
-            let fetch = ctx
-                .flows
-                .fetch(&cfg, FetchOpts::artifacts())
-                .map_err(CaseError::internal)?;
-            let hit = fetch.reused();
-            if hit {
-                sctx.mark_cache_hit();
-            } else if let Some(sub) = ctx.flows.sub_span(&cfg) {
-                sctx.child_span((*sub).clone());
-            }
-            let res = fetch.artifacts.expect("artifact-level fetch");
-            Ok::<_, CaseError>((res, hit))
+            staged_fetch(ctx.flows, sctx, &cfg, FetchOpts::artifacts())
         })?;
-        let r2d = &res2d.0;
-        let n = 1 + r2d.extra_cs_capacity.max(if quick { 1 } else { 7 });
-        let m3d_cfg = prep(FlowConfig::m3d(n).with_cs(cs)).with_die(r2d.die);
-        let pdk = m3d_cfg.pdk.clone();
-        let (res3d, hit3d) = ctx.stage(Stage::PdFlow, "m3d", |sctx| {
-            let fetch = ctx
-                .flows
-                .fetch(&m3d_cfg, FetchOpts::artifacts())
-                .map_err(CaseError::internal)?;
-            let hit = fetch.reused();
-            if hit {
-                sctx.mark_cache_hit();
-            } else if let Some(sub) = ctx.flows.sub_span(&m3d_cfg) {
-                sctx.child_span((*sub).clone());
-            }
-            let res = fetch.artifacts.expect("artifact-level fetch");
-            Ok::<_, CaseError>((res, hit))
+        let n = 1 + f2d.report.extra_cs_capacity.max(if quick { 1 } else { 7 });
+        let m3d_cfg = prep(FlowConfig::m3d(n).with_cs(cs)).with_die(f2d.report.die);
+        let f3d = ctx.stage(Stage::PdFlow, "m3d", |sctx| {
+            staged_fetch(ctx.flows, sctx, &m3d_cfg, FetchOpts::artifacts())
         })?;
-        let a = &res3d.1;
+        let a = &f3d.artifacts.as_ref().expect("artifact-level fetch").1;
+        let pdk = &m3d_cfg.pdk;
         let c = ctx.stage(Stage::PdFlow, "congestion", |_| {
             analyze_congestion(
                 &a.netlist,
                 &a.placement,
                 &a.routing,
                 &a.floorplan,
-                &pdk,
+                pdk,
                 1000.0,
             )
         });
@@ -191,7 +162,7 @@ impl Case for AblationCongestionCase {
                 ("overflow_tiles", Value::U64(c.overflow_tiles as u64)),
                 ("under_over_free_ratio", Value::F64(ratio)),
             ]),
-            cache_hit: hit2d && hit3d,
+            cache_hit: f2d.reused() && f3d.reused(),
             coalesced: false,
         })
     }
@@ -425,7 +396,7 @@ impl Case for FlowSensitivityCase {
             // seed availability (warm == cold by construction).
             for cfg in &cfgs {
                 if let Some(sub) = ctx.flows.sub_span(cfg) {
-                    sctx.child_span((*sub).clone());
+                    sctx.child_span(sub);
                 }
             }
             if fetches.iter().all(FlowFetch::reused) {

@@ -14,14 +14,14 @@
 
 use std::sync::Arc;
 
-use m3d_core::engine::Stage;
+use m3d_core::engine::{FetchOpts, Stage};
 use m3d_core::obs::{Recorder, SpanNode};
 use m3d_ingest::{ingest, Format, IngestReport};
 use m3d_pd::FlowConfig;
 use m3d_tech::StableHash;
 use serde::Value;
 
-use crate::cases::{case_cs, flows::staged_report};
+use crate::cases::{case_cs, flows::staged_fetch};
 use crate::registry::{
     field, obj, reject_unknown, Case, CaseCtx, CaseError, CaseOutcome, ParamField,
 };
@@ -186,9 +186,10 @@ impl Case for IngestCase {
         if quick {
             cfg = cfg.quick();
         }
-        let (r, hit) = ctx.stage(Stage::PdFlow, "ingest", |sctx| {
-            staged_report(ctx.flows, sctx, &cfg)
+        let fetch = ctx.stage(Stage::PdFlow, "ingest", |sctx| {
+            staged_fetch(ctx.flows, sctx, &cfg, FetchOpts::report())
         })?;
+        let r = &*fetch.report;
         Ok(CaseOutcome {
             result: obj(vec![
                 ("design", Value::Str(r.design.clone())),
@@ -208,7 +209,7 @@ impl Case for IngestCase {
                 ("timing_met", Value::Bool(r.timing_met)),
                 ("total_power_mw", Value::F64(r.total_power_mw)),
             ]),
-            cache_hit: hit,
+            cache_hit: fetch.reused(),
             coalesced: false,
         })
     }

@@ -19,7 +19,7 @@ use m3d_thermal::{
 };
 use serde::Value;
 
-use crate::cases::case_cs;
+use crate::cases::{case_cs, flows::staged_fetch};
 use crate::registry::{obj, reject_unknown, Case, CaseCtx, CaseError, CaseOutcome};
 
 /// Per-(power, tier-count) comparison point.
@@ -76,17 +76,9 @@ impl Case for Obs10ThermalCase {
             if quick {
                 cfg = cfg.quick();
             }
-            let fetch = ctx
-                .flows
-                .fetch(&cfg, FetchOpts::artifacts())
-                .map_err(CaseError::internal)?;
-            if fetch.reused() {
-                sctx.mark_cache_hit();
-            } else if let Some(sub) = ctx.flows.sub_span(&cfg) {
-                sctx.child_span((*sub).clone());
-            }
-            let res = fetch.artifacts.expect("artifact-level fetch");
-            Ok::<_, CaseError>(res.1.power.density_grid.clone())
+            let fetch = staged_fetch(ctx.flows, sctx, &cfg, FetchOpts::artifacts())?;
+            let flow = fetch.artifacts.expect("artifact-level fetch");
+            Ok::<_, CaseError>(flow.1.power.density_grid.clone())
         })?;
         // Placed deposit at the sweep's per-pair budget: the flow's
         // lateral hotspot pattern, rescaled so the stack dissipates `p`

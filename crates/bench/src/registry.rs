@@ -438,10 +438,8 @@ impl Case for PdFlowCase {
             let out = ctx.flows.fetch(&cfg, FetchOpts::report());
             if let Ok(fetch) = &out {
                 sctx.mark(fetch.provenance());
-                if !fetch.reused() {
-                    if let Some(sub) = ctx.flows.sub_span(&cfg) {
-                        sctx.child_span((*sub).clone());
-                    }
+                if let (false, Some(flow)) = (fetch.reused(), &fetch.artifacts) {
+                    sctx.child_span(flow.1.span.clone());
                 }
             }
             out.map_err(CaseError::internal)

@@ -1,11 +1,13 @@
 //! Round-trip contract of the typed case registry: every registered
 //! experiment validates its params schema the same way on the CLI and
 //! the wire, and the freshly engine-ported binaries produce
-//! byte-identical `--json` artifacts at any `M3D_JOBS` value.
+//! byte-identical `--json` artifacts at any `M3D_JOBS` value, equal to
+//! their pinned FNV-1a digests.
 
 use std::process::Command;
 
 use m3d_bench::registry::registry;
+use m3d_tech::StableHasher;
 use serde::Value;
 
 /// The 21 paper experiments (the registry also carries the `sleep`
@@ -186,26 +188,50 @@ fn run_json(exe: &str, jobs: &str, path: &std::path::Path) {
     assert!(status.success(), "{exe} --quick failed (M3D_JOBS={jobs})");
 }
 
-/// The five freshly ported binaries: byte-identical `--json` across
-/// worker counts, straight off the engine executor.
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h = StableHasher::new();
+    h.write(bytes);
+    format!("{:016x}", h.finish())
+}
+
+/// The five freshly ported binaries plus the warm-started
+/// `flow_sensitivity` sweep: byte-identical `--json` across worker
+/// counts, straight off the engine executor, and equal to the pinned
+/// digest.
 #[test]
 fn ported_binaries_emit_deterministic_json() {
     let dir = std::env::temp_dir().join(format!("m3d-roundtrip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, exe) in [
+    for (name, exe, digest) in [
         (
             "ablation_congestion",
             env!("CARGO_BIN_EXE_ablation_congestion"),
+            "e34ca8d0852c466a",
         ),
-        ("folding_ablation", env!("CARGO_BIN_EXE_folding_ablation")),
-        ("corners_signoff", env!("CARGO_BIN_EXE_corners_signoff")),
+        (
+            "folding_ablation",
+            env!("CARGO_BIN_EXE_folding_ablation"),
+            "d5ec1dd231311968",
+        ),
+        (
+            "corners_signoff",
+            env!("CARGO_BIN_EXE_corners_signoff"),
+            "49c6b30d3b23abe6",
+        ),
         (
             "extension_mobilenet",
             env!("CARGO_BIN_EXE_extension_mobilenet"),
+            "f5282aab089d89f5",
         ),
         (
             "future_upper_logic",
             env!("CARGO_BIN_EXE_future_upper_logic"),
+            "9434f27c2396538a",
+        ),
+        (
+            "flow_sensitivity",
+            env!("CARGO_BIN_EXE_flow_sensitivity"),
+            "9760943f51e87e9d",
         ),
     ] {
         let a = dir.join(format!("{name}-jobs1.json"));
@@ -216,6 +242,7 @@ fn ported_binaries_emit_deterministic_json() {
         let four = std::fs::read(&b).expect("report written");
         assert_eq!(one, four, "{name} --json must not depend on M3D_JOBS");
         assert!(!one.is_empty(), "{name} report must not be empty");
+        assert_eq!(fnv1a(&one), digest, "{name} --json bytes moved");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

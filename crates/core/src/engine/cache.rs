@@ -14,10 +14,7 @@
 //! Every lookup goes through `fetch(cfg, FetchOpts)`, which returns a
 //! [`FlowFetch`] carrying the report, optionally the full artifacts,
 //! and how the lookup was satisfied (memory hit, disk hit, coalesced
-//! onto another caller's run, warm-started, or computed cold). The
-//! pre-PR-9 entry points (`run`, `run_traced`, `run_report_traced`,
-//! `run_report_coalesced`) survived one release as deprecated shims
-//! and are gone; tier1 greps them out of the tree.
+//! onto another caller's run, warm-started, or computed cold).
 //!
 //! # The on-disk artifact tier and warm starts
 //!
@@ -50,9 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use m3d_pd::{
-    FlowArtifacts, FlowConfig, FlowReport, FlowSpan, ParamPoint, PlacementSeed, Rtl2GdsFlow,
-};
+use m3d_pd::{FlowArtifacts, FlowConfig, FlowReport, PlacementSeed, Rtl2GdsFlow};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::inflight::{Flight, InFlight};
@@ -62,16 +57,8 @@ use crate::engine::store::{
 use crate::error::CoreResult;
 use crate::obs::{Provenance, Recorder, SpanNode};
 
-/// Converts the pd crate's [`FlowSpan`] tree (the flow's own
-/// instrumentation, which cannot depend on `m3d_core`) into an engine
-/// [`SpanNode`] tree. Every node is [`Provenance::Computed`]: a flow
-/// sub-span only exists because this process actually ran the flow.
-pub fn flow_span_node(span: &FlowSpan) -> SpanNode {
-    let mut node = SpanNode::new(span.name.clone());
-    node.counters = span.counters.clone();
-    node.children = span.children.iter().map(flow_span_node).collect();
-    node
-}
+/// The cache's locks guard no computation, so only a bug poisons one.
+const POISONED: &str = "a flow-cache lock holder panicked";
 
 /// Hit/miss counters of a [`FlowCache`], serialised into the
 /// [`crate::engine::ExperimentReport`]. Warm starts are *not* a field
@@ -197,6 +184,15 @@ impl FlowFetch {
     }
 }
 
+/// One configuration's memo: its report, plus the whole flow (artifacts
+/// and sub-span tree included) when this process ran it. Reports read
+/// from the disk tier carry no flow.
+#[derive(Debug)]
+struct Entry {
+    report: Arc<FlowReport>,
+    flow: Option<Arc<(FlowReport, FlowArtifacts)>>,
+}
+
 /// A process-wide memo table for [`Rtl2GdsFlow`] runs, optionally backed
 /// by an on-disk artifact store.
 ///
@@ -208,12 +204,11 @@ impl FlowFetch {
 /// sticks.
 #[derive(Debug, Default)]
 pub struct FlowCache {
-    entries: Mutex<HashMap<u64, Arc<(FlowReport, FlowArtifacts)>>>,
-    reports: Mutex<HashMap<u64, Arc<FlowReport>>>,
-    spans: Mutex<HashMap<u64, Arc<SpanNode>>>,
-    /// Warm-start seed index: placement key → the seeds computed in
-    /// this process, with their full keys and lattice coordinates.
-    seeds: Mutex<HashMap<u64, Vec<(u64, ParamPoint, Arc<PlacementSeed>)>>>,
+    entries: Mutex<HashMap<u64, Entry>>,
+    /// Warm-start seed index: placement key → the key and lattice point
+    /// of every flow computed in this process. The seed itself is read
+    /// from that key's entry.
+    seeds: Mutex<HashMap<u64, Vec<NeighbourMeta>>>,
     inflight: InFlight<FlowFetch>,
     store: Option<Box<dyn ArtifactStore>>,
     disk_dir: Option<PathBuf>,
@@ -342,45 +337,45 @@ impl FlowCache {
             return Ok(hit);
         }
         if !opts.artifacts {
-            if let Some(store) = &self.store {
-                if let Some(report) = store.get_report(key) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    Recorder::global().incr("flow_cache.disk_hits", 1);
-                    let stored = self
-                        .reports
+            if let Some(envelope) = self.store.as_ref().and_then(|store| store.get(key)) {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                Recorder::global().incr("flow_cache.disk_hits", 1);
+                let report = Arc::clone(
+                    &self
+                        .entries
                         .lock()
-                        .unwrap()
+                        .expect(POISONED)
                         .entry(key)
-                        .or_insert_with(|| Arc::new(report))
-                        .clone();
-                    return Ok(FlowFetch {
-                        report: stored,
-                        artifacts: None,
-                        cache_hit: false,
-                        disk_hit: true,
-                        coalesced: false,
-                        warm: false,
-                    });
-                }
+                        .or_insert_with(|| Entry {
+                            report: Arc::new(envelope.report),
+                            flow: None,
+                        })
+                        .report,
+                );
+                return Ok(FlowFetch {
+                    report,
+                    artifacts: None,
+                    cache_hit: false,
+                    disk_hit: true,
+                    coalesced: false,
+                    warm: false,
+                });
             }
         }
         self.compute(cfg, key, opts.warm)
     }
 
-    /// Answers from the in-memory maps, or `None`.
+    /// Answers from the in-memory memo, or `None`.
     fn memory_fetch(&self, key: u64, want_artifacts: bool) -> Option<FlowFetch> {
-        let (report, artifacts) = if want_artifacts {
-            let pair = self.entries.lock().unwrap().get(&key).cloned()?;
-            let report = self
-                .reports
-                .lock()
-                .unwrap()
-                .entry(key)
-                .or_insert_with(|| Arc::new(pair.0.clone()))
-                .clone();
-            (report, Some(pair))
-        } else {
-            (self.reports.lock().unwrap().get(&key).cloned()?, None)
+        let (report, artifacts) = {
+            let entries = self.entries.lock().expect(POISONED);
+            let entry = entries.get(&key)?;
+            let artifacts = if want_artifacts {
+                Some(Arc::clone(entry.flow.as_ref()?))
+            } else {
+                None
+            };
+            (Arc::clone(&entry.report), artifacts)
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
         Recorder::global().incr("flow_cache.hits", 1);
@@ -395,17 +390,15 @@ impl FlowCache {
     }
 
     /// Runs the flow (warm when a usable seed exists and `warm` allows)
-    /// and memoises everything: report, artifacts, sub-span tree, seed
-    /// index, disk envelope.
+    /// and memoises it: per-key entry, seed index, disk envelope.
     fn compute(&self, cfg: &FlowConfig, key: u64, warm_allowed: bool) -> CoreResult<FlowFetch> {
         let seed = if warm_allowed {
             self.find_seed(cfg, key)
         } else {
             None
         };
-        let (report, artifacts, flow_span, warm) =
-            Rtl2GdsFlow::new(cfg.clone()).run_seeded(seed.as_deref())?;
-        let computed = Arc::new((report, artifacts));
+        let computed = Arc::new(Rtl2GdsFlow::new(cfg.clone()).run_seeded(seed)?);
+        let warm = computed.1.warm;
         // A warm run still *ran* the flow, so it is a miss for the
         // serialised CacheStats — `--json` stays byte-identical whether
         // or not a neighbour's seed was available.
@@ -415,36 +408,29 @@ impl FlowCache {
             self.warm_hits.fetch_add(1, Ordering::Relaxed);
             Recorder::global().incr("flow_cache.warm_hits", 1);
         }
-        Self::report_flow_counters(&flow_span, warm);
-        self.spans
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(flow_span_node(&flow_span)));
+        Self::report_flow_counters(&computed.1.span, warm);
+        self.write_store(cfg, key, &computed);
+        let (report, flow) = {
+            let mut entries = self.entries.lock().expect(POISONED);
+            let entry = entries.entry(key).or_insert_with(|| Entry {
+                report: Arc::new(computed.0.clone()),
+                flow: None,
+            });
+            let flow = Arc::clone(entry.flow.get_or_insert(computed));
+            (Arc::clone(&entry.report), flow)
+        };
         self.seeds
             .lock()
-            .unwrap()
-            .entry(computed.1.seed.placement_key)
+            .expect(POISONED)
+            .entry(flow.1.seed.placement_key)
             .or_default()
-            .push((key, cfg.param_point(), Arc::new(computed.1.seed.clone())));
-        self.write_store(cfg, key, &computed);
-        let report_arc = self
-            .reports
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(computed.0.clone()))
-            .clone();
-        let stored = self
-            .entries
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&computed))
-            .clone();
+            .push(NeighbourMeta {
+                key,
+                params: cfg.param_point(),
+            });
         Ok(FlowFetch {
-            report: report_arc,
-            artifacts: Some(stored),
+            report,
+            artifacts: Some(flow),
             cache_hit: false,
             disk_hit: false,
             coalesced: false,
@@ -462,19 +448,18 @@ impl FlowCache {
     fn find_seed(&self, cfg: &FlowConfig, key: u64) -> Option<Arc<PlacementSeed>> {
         let placement_key = cfg.placement_key();
         let target = cfg.param_point();
-        {
-            let seeds = self.seeds.lock().unwrap();
-            if let Some(cands) = seeds.get(&placement_key) {
-                let metas: Vec<NeighbourMeta> = cands
-                    .iter()
-                    .map(|&(k, p, _)| NeighbourMeta { key: k, params: p })
-                    .collect();
-                if let Some(pick) = nearest_neighbour(target, key, &metas) {
-                    if let Some((_, _, seed)) = cands.iter().find(|(k, _, _)| *k == pick.key) {
-                        return Some(Arc::clone(seed));
-                    }
-                }
-            }
+        let near = self
+            .seeds
+            .lock()
+            .expect(POISONED)
+            .get(&placement_key)
+            .and_then(|cands| nearest_neighbour(target, key, cands));
+        // Indexed keys always hold a computed flow.
+        if let Some(seed) = near.and_then(|pick| {
+            let entries = self.entries.lock().expect(POISONED);
+            Some(Arc::clone(&entries.get(&pick.key)?.flow.as_ref()?.1.seed))
+        }) {
+            return Some(seed);
         }
         let store = self.store.as_ref()?;
         // Reaching compute with our exact envelope on disk means the
@@ -501,7 +486,7 @@ impl FlowCache {
             placement_key: artifacts.seed.placement_key,
             params: cfg.param_point(),
             report: computed.0.clone(),
-            seed: artifacts.seed.clone(),
+            seed: (*artifacts.seed).clone(),
             routing: artifacts.routing.clone(),
             timing: artifacts.timing.clone(),
             clock_tree: artifacts.clock_tree.clone(),
@@ -514,7 +499,7 @@ impl FlowCache {
     /// when no trace is being written. Warm runs report their replayed
     /// annealing under `pd_flow.warm_*` (the steps were reused, not
     /// executed).
-    fn report_flow_counters(span: &FlowSpan, warm: bool) {
+    fn report_flow_counters(span: &SpanNode, warm: bool) {
         let rec = Recorder::global();
         rec.incr("pd_flow.runs", 1);
         if let Some(place) = span.find("place") {
@@ -555,8 +540,15 @@ impl FlowCache {
     /// computed here — cache and disk hits carry no sub-spans, which is
     /// exactly what keeps traces honest about provenance. Warm runs
     /// *do* carry one: they executed the flow.
-    pub fn sub_span(&self, cfg: &FlowConfig) -> Option<Arc<SpanNode>> {
-        self.spans.lock().unwrap().get(&cfg.stable_key()).cloned()
+    pub fn sub_span(&self, cfg: &FlowConfig) -> Option<SpanNode> {
+        let flow = self
+            .entries
+            .lock()
+            .expect(POISONED)
+            .get(&cfg.stable_key())?
+            .flow
+            .clone()?;
+        Some(flow.1.span.clone())
     }
 
     /// Calls answered by joining another thread's in-flight flow run.
@@ -569,9 +561,10 @@ impl FlowCache {
         self.warm_hits.load(Ordering::Relaxed)
     }
 
-    /// Cached configuration count (full in-memory entries).
+    /// Cached configuration count (flows computed in this process).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        let entries = self.entries.lock().expect(POISONED);
+        entries.values().filter(|e| e.flow.is_some()).count()
     }
 
     /// Whether nothing has been cached yet.
@@ -724,9 +717,9 @@ mod tests {
         }
         assert!(span.find("place").unwrap().counter_value("steps").unwrap() > 0);
         // A cache hit returns the same recorded tree, not a new one.
-        cache.fetch(&cfg, FetchOpts::artifacts()).unwrap();
-        let again = cache.sub_span(&cfg).unwrap();
-        assert!(Arc::ptr_eq(&span, &again));
+        assert!(cache.fetch(&cfg, FetchOpts::artifacts()).unwrap().cache_hit);
+        assert_eq!(cache.sub_span(&cfg).unwrap(), span);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
@@ -809,7 +802,6 @@ mod tests {
         // Corrupt envelope degrades to a cold miss, not an error.
         let store = DiskStore::new(&dir);
         fs::write(store.envelope_path(cfg.stable_key()), "not json").unwrap();
-        fs::remove_file(store.legacy_report_path(cfg.stable_key())).ok();
         fs::remove_file(store.meta_path(cfg.stable_key())).ok();
         let four = FlowCache::with_disk_dir(&dir);
         let fetch = four.fetch(&cfg, FetchOpts::report()).unwrap();
@@ -843,6 +835,12 @@ mod tests {
         let cold = FlowCache::new();
         let cold_b = cold.fetch(&b, FetchOpts::report().cold()).unwrap();
         assert_eq!(*fetch.report, *cold_b.report);
+        // The seed's place spans went through the disk encoding and
+        // still replay the cold sub-span tree exactly.
+        assert_eq!(
+            two.sub_span(&b).expect("warm run recorded spans"),
+            cold.sub_span(&b).expect("cold run recorded spans")
+        );
 
         let _ = fs::remove_dir_all(&dir);
     }
@@ -857,7 +855,7 @@ mod tests {
         let one = FlowCache::new();
         let fa = one.fetch(&a, FetchOpts::artifacts()).unwrap();
         let artifacts = &fa.artifacts.as_ref().unwrap().1;
-        let mut seed = artifacts.seed.clone();
+        let mut seed = (*artifacts.seed).clone();
         seed.placement.cell_pos.truncate(1);
         store.put(&StoredEnvelope {
             version: STORE_VERSION,

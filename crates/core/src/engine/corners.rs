@@ -30,11 +30,9 @@ pub struct CornerRun {
     pub config: FlowConfig,
     /// The flow's sign-off report at this corner.
     pub report: Arc<FlowReport>,
-    /// How the cache satisfied this corner (fresh, hit, coalesced).
+    /// How the cache satisfied this corner (fresh, hit, coalesced);
+    /// a fresh run carries the flow and its sub-span tree.
     pub fetch: FlowFetch,
-    /// The flow's deterministic sub-span tree, when this process
-    /// computed the corner (`None` on cache and disk hits).
-    pub span: Option<Arc<SpanNode>>,
 }
 
 impl CornerRun {
@@ -44,8 +42,8 @@ impl CornerRun {
     pub fn span_node(&self) -> SpanNode {
         let mut node = SpanNode::new(format!("corner:{}", self.corner.name().to_lowercase()));
         node.provenance = self.fetch.provenance();
-        if let (false, Some(sub)) = (self.fetch.reused(), &self.span) {
-            node.children.push((**sub).clone());
+        if let (false, Some(flow)) = (self.fetch.reused(), &self.fetch.artifacts) {
+            node.children.push(flow.1.span.clone());
         }
         node
     }
@@ -65,13 +63,11 @@ pub fn corner_sweep(
     par_map(corners, |&corner| {
         let config = base.clone().at_corner(corner);
         let fetch = cache.fetch(&config, FetchOpts::report())?;
-        let span = cache.sub_span(&config);
         Ok(CornerRun {
             corner,
             config,
             report: Arc::clone(&fetch.report),
             fetch,
-            span,
         })
     })
     .into_iter()

@@ -42,10 +42,10 @@ pub mod report;
 pub mod stage;
 pub mod store;
 
-pub use cache::{flow_span_node, CacheStats, FetchOpts, FlowCache, FlowFetch};
+pub use cache::{CacheStats, FetchOpts, FlowCache, FlowFetch};
 pub use corners::{corner_sweep, CornerRun};
 pub use inflight::{Flight, InFlight};
 pub use parallel::{jobs, par_map, par_map_jobs};
 pub use report::{ExperimentReport, StageRecord};
-pub use stage::{Pipeline, Stage, StageCtx, StageTiming};
+pub use stage::{Pipeline, Stage, StageCtx};
 pub use store::{ArtifactStore, DiskStore, MemoryStore, NeighbourMeta, StoredEnvelope};

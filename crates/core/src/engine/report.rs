@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::cache::CacheStats;
 use crate::engine::stage::Pipeline;
+use crate::obs::{Provenance, SpanNode};
 use crate::report::ExperimentRecord;
 
 /// One executed stage, stripped of wall-clock time for reproducibility.
@@ -25,6 +26,18 @@ pub struct StageRecord {
     pub stage: String,
     /// Whether the stage was satisfied from the flow cache.
     pub cache_hit: bool,
+}
+
+impl StageRecord {
+    /// The record of one stage span: its name, and whether a cache tier
+    /// (memory or disk) satisfied it. Coalesced joins count as misses
+    /// because *someone* computed the result.
+    pub(crate) fn from_span(span: &SpanNode) -> Self {
+        Self {
+            stage: span.name.clone(),
+            cache_hit: matches!(span.provenance, Provenance::CacheHit | Provenance::DiskHit),
+        }
+    }
 }
 
 /// A complete experiment result as written by `--json`.
@@ -45,21 +58,13 @@ impl ExperimentReport {
     /// results are independent of it, and recording it would break
     /// byte-identity of `--json` artifacts across `M3D_JOBS` settings.
     pub fn new(record: ExperimentRecord, pipeline: &Pipeline) -> Self {
-        let stages = pipeline
-            .timings()
-            .iter()
-            .map(|t| StageRecord {
-                stage: if t.label.is_empty() {
-                    t.stage.name().to_owned()
-                } else {
-                    format!("{}:{}", t.stage.name(), t.label)
-                },
-                cache_hit: t.cache_hit,
-            })
-            .collect();
         Self {
             record,
-            stages,
+            stages: pipeline
+                .spans()
+                .iter()
+                .map(StageRecord::from_span)
+                .collect(),
             cache: CacheStats::default(),
         }
     }

@@ -1,12 +1,14 @@
 //! Typed pipeline stages with wall-clock and provenance instrumentation.
 //!
 //! Every experiment decomposes into the same coarse stages; [`Pipeline`]
-//! names them, times them, renders the uniform
+//! names them and records one timed [`SpanNode`] per executed stage.
+//! Everything else derives from those spans: the uniform
 //! `stage, wall_ms, provenance` summary the bench binaries print to
-//! stderr, and builds the span tree `--trace-json` dumps. Wall-clock
-//! numbers are *observability only*: they are kept out of the serialised
-//! [`crate::engine::ExperimentReport`] and out of deterministic trace
-//! renderings so that JSON artifacts stay byte-reproducible run to run.
+//! stderr, the `--json` stage records and the span tree `--trace-json`
+//! dumps. Wall-clock numbers are *observability only*: they are kept
+//! out of the serialised [`crate::engine::ExperimentReport`] and out of
+//! deterministic trace renderings so that JSON artifacts stay
+//! byte-reproducible run to run.
 
 use std::time::Instant;
 
@@ -49,24 +51,6 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// Wall-clock record of one executed stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageTiming {
-    /// Which stage ran.
-    pub stage: Stage,
-    /// Free-form label distinguishing repeated stages (e.g. `"2d"` vs
-    /// `"m3d"` flow runs); empty when the stage runs once.
-    pub label: String,
-    /// Wall-clock duration in milliseconds.
-    pub wall_ms: f64,
-    /// `true` when the stage was satisfied from a cache tier (memory or
-    /// disk). Derived from [`StageTiming::provenance`]; coalesced joins
-    /// count as misses here because *someone* computed the result.
-    pub cache_hit: bool,
-    /// Full provenance of how the stage's work was satisfied.
-    pub provenance: Provenance,
-}
-
 /// An instrumented sequence of stages.
 ///
 /// ```
@@ -75,12 +59,11 @@ pub struct StageTiming {
 /// let mut pipe = Pipeline::new();
 /// let sum = pipe.stage(Stage::ArchSim, "", |_| (0..100u64).sum::<u64>());
 /// assert_eq!(sum, 4950);
-/// assert_eq!(pipe.timings().len(), 1);
+/// assert_eq!(pipe.spans()[0].name, "arch-sim");
 /// assert_eq!(pipe.span_tree("demo").span_count(), 2);
 /// ```
 #[derive(Debug, Default)]
 pub struct Pipeline {
-    timings: Vec<StageTiming>,
     spans: Vec<SpanNode>,
 }
 
@@ -109,16 +92,6 @@ impl StageCtx {
         self.provenance = Provenance::CacheHit;
     }
 
-    /// Marks this stage as replayed from the on-disk artifact store.
-    pub fn mark_disk_hit(&mut self) {
-        self.provenance = Provenance::DiskHit;
-    }
-
-    /// Marks this stage as coalesced onto another caller's in-flight run.
-    pub fn mark_coalesced(&mut self) {
-        self.provenance = Provenance::Coalesced;
-    }
-
     /// Sets the stage's provenance explicitly.
     pub fn mark(&mut self, provenance: Provenance) {
         self.provenance = provenance;
@@ -144,8 +117,10 @@ impl Pipeline {
         Self::default()
     }
 
-    /// Runs `f` as `stage`, recording its wall-clock time and building a
-    /// span. The closure receives a [`StageCtx`] to report provenance
+    /// Runs `f` as `stage`, recording a span named `stage` (suffixed
+    /// `:label` when `label` is non-empty, to tell repeated stages such
+    /// as the `"2d"` and `"m3d"` flow runs apart) with its wall-clock
+    /// time. The closure receives a [`StageCtx`] to report provenance
     /// and attach child spans.
     pub fn stage<T>(&mut self, stage: Stage, label: &str, f: impl FnOnce(&mut StageCtx) -> T) -> T {
         let mut ctx = StageCtx {
@@ -165,19 +140,7 @@ impl Pipeline {
         span.provenance = ctx.provenance;
         span.children = ctx.children;
         self.spans.push(span);
-        self.timings.push(StageTiming {
-            stage,
-            label: label.to_owned(),
-            wall_ms,
-            cache_hit: matches!(ctx.provenance, Provenance::CacheHit | Provenance::DiskHit),
-            provenance: ctx.provenance,
-        });
         out
-    }
-
-    /// All recorded timings, in execution order.
-    pub fn timings(&self) -> &[StageTiming] {
-        &self.timings
     }
 
     /// The per-stage spans recorded so far, in execution order.
@@ -189,7 +152,7 @@ impl Pipeline {
     /// experiment id), ready for [`crate::obs::trace_document`].
     pub fn span_tree(&self, root_name: &str) -> SpanNode {
         let mut root = SpanNode::new(root_name);
-        root.wall_ms = self.timings.iter().map(|t| t.wall_ms).sum();
+        root.wall_ms = self.spans.iter().map(|s| s.wall_ms).sum();
         root.children = self.spans.clone();
         root
     }
@@ -198,13 +161,8 @@ impl Pipeline {
     /// `stage, wall_ms, provenance` line per executed stage.
     pub fn eprint_summary(&self) {
         eprintln!("# stage, wall_ms, provenance");
-        for t in &self.timings {
-            let name = if t.label.is_empty() {
-                t.stage.name().to_owned()
-            } else {
-                format!("{}:{}", t.stage.name(), t.label)
-            };
-            eprintln!("# {name}, {:.1}, {}", t.wall_ms, t.provenance);
+        for s in &self.spans {
+            eprintln!("# {}, {:.1}, {}", s.name, s.wall_ms, s.provenance);
         }
     }
 }
@@ -212,6 +170,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::report::StageRecord;
 
     #[test]
     fn stages_record_in_order_with_labels() {
@@ -222,14 +181,13 @@ mod tests {
             2
         });
         assert_eq!((a, b), (1, 2));
-        let ts = pipe.timings();
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts[0].stage, Stage::Tech);
-        assert!(!ts[0].cache_hit);
-        assert_eq!(ts[1].label, "m3d");
-        assert!(ts[1].cache_hit);
-        assert_eq!(ts[1].provenance, Provenance::CacheHit);
-        assert!(ts.iter().all(|t| t.wall_ms >= 0.0));
+        let ss = pipe.spans();
+        assert_eq!(ss.len(), 2);
+        assert_eq!(ss[0].name, "tech");
+        assert_eq!(ss[0].provenance, Provenance::Computed);
+        assert_eq!(ss[1].name, "pd-flow:m3d");
+        assert_eq!(ss[1].provenance, Provenance::CacheHit);
+        assert!(ss.iter().all(|s| s.wall_ms >= 0.0));
     }
 
     #[test]
@@ -254,11 +212,11 @@ mod tests {
     #[test]
     fn coalesced_stages_are_not_cache_hits_but_are_reuse() {
         let mut pipe = Pipeline::new();
-        pipe.stage(Stage::PdFlow, "", |ctx| ctx.mark_coalesced());
-        let t = &pipe.timings()[0];
-        assert!(!t.cache_hit);
-        assert_eq!(t.provenance, Provenance::Coalesced);
-        assert!(t.provenance.is_reuse());
+        pipe.stage(Stage::PdFlow, "", |ctx| ctx.mark(Provenance::Coalesced));
+        let span = &pipe.spans()[0];
+        assert!(!StageRecord::from_span(span).cache_hit);
+        assert_eq!(span.provenance, Provenance::Coalesced);
+        assert!(span.provenance.is_reuse());
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! estimate, STA, clock tree and power sign-off. Two implementations
 //! exist:
 //!
-//! * [`DiskStore`] — one `flow-v2-<key>.json` envelope per
-//!   configuration plus a tiny `flow-v2-<key>.meta.json` sidecar
+//! * [`DiskStore`] — one `flow-v3-<key>.json` envelope per
+//!   configuration plus a tiny `flow-v3-<key>.meta.json` sidecar
 //!   (`{version, key, placement_key, params}`) so
 //!   [`ArtifactStore::neighbours`] can rank warm-start candidates on
-//!   the parameter lattice without parsing full envelopes. Directories
-//!   written by pre-envelope releases (`flow-v1-<key>.json`, report
-//!   only) keep serving report-level hits; envelopes with an unknown
-//!   version are skipped with a `cache.store_version_skip` counter,
+//!   the parameter lattice without parsing full envelopes. The `v3` in
+//!   the file names is [`STORE_VERSION`]: files written under another
+//!   version are never read, and an envelope whose `version` field
+//!   disagrees is skipped with a `cache.store_version_skip` counter,
 //!   never a panic.
 //! * [`MemoryStore`] — a hash map with identical semantics, for tests
 //!   and for exercising the trait without touching a filesystem.
@@ -37,8 +37,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::obs::Recorder;
 
-/// Version of the on-disk envelope schema this release writes.
-pub const STORE_VERSION: u64 = 2;
+/// Version of the on-disk envelope schema this release writes (3: seed
+/// spans in the deterministic span wire form).
+pub const STORE_VERSION: u64 = 3;
 
 /// Everything one computed flow persists: the report the engine
 /// serialises, plus the physical state (placement seed, route/STA/CTS/
@@ -104,14 +105,6 @@ pub trait ArtifactStore: std::fmt::Debug + Send + Sync {
     /// supported version.
     fn get(&self, key: u64) -> Option<StoredEnvelope>;
 
-    /// Report-only lookup. The default reads the full envelope;
-    /// [`DiskStore`] also falls back to the pre-envelope
-    /// `flow-v1-<key>.json` report files so caches written by earlier
-    /// releases keep serving hits.
-    fn get_report(&self, key: u64) -> Option<FlowReport> {
-        self.get(key).map(|e| e.report)
-    }
-
     /// All stored configurations sharing `placement_key` — the
     /// warm-start candidates for any configuration in that
     /// neighbourhood (callers exclude the exact key and rank by
@@ -135,24 +128,16 @@ impl DiskStore {
         Self { dir: dir.into() }
     }
 
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of the v2 envelope for `key`.
+    /// Path of the envelope for `key`.
     pub fn envelope_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("flow-v2-{key:016x}.json"))
+        self.dir
+            .join(format!("flow-v{STORE_VERSION}-{key:016x}.json"))
     }
 
     /// Path of the neighbour-scan sidecar for `key`.
     pub fn meta_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("flow-v2-{key:016x}.meta.json"))
-    }
-
-    /// Path of the pre-envelope (report-only) file for `key`.
-    pub fn legacy_report_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("flow-v1-{key:016x}.json"))
+        self.dir
+            .join(format!("flow-v{STORE_VERSION}-{key:016x}.meta.json"))
     }
 
     /// Writes `text` to a writer-unique temp name, then renames into
@@ -230,25 +215,16 @@ impl ArtifactStore for DiskStore {
         (envelope.key == key).then_some(envelope)
     }
 
-    fn get_report(&self, key: u64) -> Option<FlowReport> {
-        if let Some(envelope) = self.get(key) {
-            return Some(envelope.report);
-        }
-        // Pre-envelope tier: bare report JSON written by earlier
-        // releases. Still a valid disk hit.
-        let text = fs::read_to_string(self.legacy_report_path(key)).ok()?;
-        serde_json::from_str(&text).ok()
-    }
-
     fn neighbours(&self, placement_key: u64) -> Vec<NeighbourMeta> {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
+        let prefix = format!("flow-v{STORE_VERSION}-");
         let mut out = Vec::new();
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if !name.starts_with("flow-v2-") || !name.ends_with(".meta.json") {
+            if !name.starts_with(&prefix) || !name.ends_with(".meta.json") {
                 continue;
             }
             let Some(meta) = Self::read_versioned::<EnvelopeMeta>(&entry.path()) else {
@@ -374,7 +350,7 @@ mod tests {
             placement_key: cfg.placement_key(),
             params: cfg.param_point(),
             report,
-            seed: artifacts.seed,
+            seed: (*artifacts.seed).clone(),
             routing: artifacts.routing,
             timing: artifacts.timing,
             clock_tree: artifacts.clock_tree,
@@ -402,7 +378,7 @@ mod tests {
         store.put(&ec);
 
         assert_eq!(store.get(a.stable_key()).as_ref(), Some(&ea));
-        assert_eq!(store.get_report(b.stable_key()), Some(eb.report.clone()));
+        assert_eq!(store.get(b.stable_key()), Some(eb));
         assert_eq!(store.get(0xDEAD), None);
 
         let hood = store.neighbours(a.placement_key());
@@ -448,31 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_report_files_keep_serving_report_hits() {
-        let dir = std::env::temp_dir().join(format!("m3d-store-v1-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let store = DiskStore::new(&dir);
-        let cfg = quick_cfg();
-        let (report, _) = Rtl2GdsFlow::new(cfg.clone()).run().unwrap();
-        fs::write(
-            store.legacy_report_path(cfg.stable_key()),
-            serde_json::to_string_pretty(&report).unwrap(),
-        )
-        .unwrap();
-
-        assert_eq!(store.get(cfg.stable_key()), None, "no v2 envelope");
-        assert_eq!(
-            store.get_report(cfg.stable_key()),
-            Some(report),
-            "v1 report tier still serves"
-        );
-        assert!(store.neighbours(cfg.placement_key()).is_empty());
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn memory_store_matches_the_trait_contract() {
         let store = MemoryStore::new();
         assert!(store.is_empty());
@@ -481,7 +432,6 @@ mod tests {
         store.put(&env);
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(cfg.stable_key()), Some(env.clone()));
-        assert_eq!(store.get_report(cfg.stable_key()), Some(env.report.clone()));
         let hood = store.neighbours(cfg.placement_key());
         assert_eq!(hood.len(), 1);
         assert_eq!(

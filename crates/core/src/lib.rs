@@ -56,7 +56,7 @@ pub use cases::{
 pub use design_point::{case_study_design_point, DesignPoint, CASE_STUDY_CS_DEMAND_MM2};
 pub use engine::{
     jobs, par_map, par_map_jobs, CacheStats, ExperimentReport, FlowCache, Pipeline, Stage,
-    StageRecord, StageTiming,
+    StageRecord,
 };
 pub use error::{CoreError, CoreResult, ErrorCode};
 pub use explore::{

@@ -3,7 +3,8 @@
 //!
 //! Three pieces, layered so each consumer pays only for what it uses:
 //!
-//! * [`SpanNode`]/[`Provenance`] — per-stage execution traces built by
+//! * [`SpanNode`]/[`Provenance`] (from [`m3d_tech::span`], shared with
+//!   the pd flow's phase spans) — per-stage execution traces built by
 //!   `engine::Pipeline`, dumped via `--trace-json`. Deterministic mode
 //!   renders structure + provenance only (no wall clock), so traces are
 //!   byte-identical across `M3D_JOBS` values and machines.

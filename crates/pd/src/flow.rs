@@ -3,19 +3,21 @@
 //! post-route optimisation → timing/power sign-off, producing a
 //! [`FlowReport`] of exactly the metrics the paper compares in Fig. 2.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use m3d_netlist::{accelerator_soc, MacroKind, Netlist, SocConfig};
 use m3d_tech::units::SquareMicrons;
-use m3d_tech::Pdk;
+use m3d_tech::{Pdk, SpanNode};
 
 use crate::cluster::Clustering;
 use crate::cts::{estimate_clock_tree, ClockTree};
 use crate::error::PdResult;
 use crate::floorplan::{under_array_usable_area, Floorplan};
 use crate::geom::Rect;
-use crate::observe::{round_counter, FlowObserver, FlowSpan};
-use crate::opt::{post_route_optimize_traced, OptConfig, OptOutcome};
+use crate::observe::round_counter;
+use crate::opt::{post_route_optimize, OptConfig, OptOutcome};
 use crate::place::{place_traced, Placement, PlacerConfig};
 use crate::power::{analyze_power, PowerReport, DEFAULT_ACTIVITY};
 use crate::route::RoutingEstimate;
@@ -176,9 +178,9 @@ pub struct PlacementSeed {
     /// legalises).
     pub placement: Placement,
     /// The recorded `place` span (per-step annealing children included).
-    pub place_span: FlowSpan,
+    pub place_span: SpanNode,
     /// The recorded `legalize` span, when legalisation ran.
-    pub legalize_span: Option<FlowSpan>,
+    pub legalize_span: Option<SpanNode>,
     /// Mean legalisation displacement in µm (0 when skipped).
     pub legalization_displacement_um: f64,
 }
@@ -291,10 +293,20 @@ pub struct FlowArtifacts {
     pub clock_tree: ClockTree,
     /// Power sign-off.
     pub power: PowerReport,
-    /// Warm-start seed this run leaves behind: the pre-optimisation
-    /// placement and its spans, reusable by any configuration sharing
-    /// this run's [`FlowConfig::placement_key`].
-    pub seed: PlacementSeed,
+    /// Warm-start seed this run leaves behind (or the one it replayed):
+    /// the pre-optimisation placement and its spans, reusable by any
+    /// configuration sharing this run's [`FlowConfig::placement_key`].
+    pub seed: Arc<PlacementSeed>,
+    /// The run's deterministic sub-span tree: a `flow` root with one
+    /// child per phase (synthesis, floorplan, clustering, place,
+    /// legalize, opt, cts, power), per-iteration children and integer
+    /// counters (annealing steps, optimisation rounds, HPWL, ILV
+    /// crossings, critical paths). Equal configurations always yield
+    /// byte-identical trees.
+    pub span: SpanNode,
+    /// Whether the run warm-started from a seed (see
+    /// [`Rtl2GdsFlow::run_seeded`]).
+    pub warm: bool,
 }
 
 /// Post-route comparison metrics (the Fig. 2 numbers).
@@ -386,33 +398,17 @@ impl Rtl2GdsFlow {
         &self.config
     }
 
-    /// Runs the full flow.
+    /// Runs the full flow cold.
     ///
     /// # Errors
     ///
     /// Propagates netlist generation, floorplan fit, placement, routing
     /// and timing errors.
     pub fn run(&self) -> PdResult<(FlowReport, FlowArtifacts)> {
-        let (report, artifacts, _) = self.run_traced()?;
-        Ok((report, artifacts))
+        self.run_seeded(None)
     }
 
-    /// [`Rtl2GdsFlow::run`], additionally returning the flow's
-    /// deterministic sub-span tree: one child per phase (synthesis,
-    /// floorplan, clustering, place, legalize, opt, cts, power), with
-    /// per-iteration children and integer counters (annealing steps,
-    /// optimisation rounds, HPWL, ILV crossings, critical paths). Equal
-    /// configurations always yield byte-identical trees.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Rtl2GdsFlow::run`].
-    pub fn run_traced(&self) -> PdResult<(FlowReport, FlowArtifacts, FlowSpan)> {
-        let (report, artifacts, span, _) = self.run_seeded(None)?;
-        Ok((report, artifacts, span))
-    }
-
-    /// [`Rtl2GdsFlow::run_traced`] with an optional warm-start `seed`.
+    /// [`Rtl2GdsFlow::run`] with an optional warm-start `seed`.
     ///
     /// When the seed validates against this configuration (matching
     /// [`FlowConfig::placement_key`] and a placement shaped like what
@@ -420,19 +416,19 @@ impl Rtl2GdsFlow {
     /// legalisation are skipped: the seed's placement is adopted and its
     /// recorded spans are replayed verbatim, so the report, artifacts
     /// and span tree are **byte-identical** to a cold run — the seed
-    /// only removes wall-clock. The returned flag says whether the warm
-    /// path was taken; an invalid or mismatched seed silently falls back
-    /// to the cold path (never an error).
+    /// only removes wall-clock. [`FlowArtifacts::warm`] says whether the
+    /// warm path was taken; an invalid or mismatched seed silently falls
+    /// back to the cold path (never an error).
     ///
     /// # Errors
     ///
     /// Same as [`Rtl2GdsFlow::run`].
     pub fn run_seeded(
         &self,
-        seed: Option<&PlacementSeed>,
-    ) -> PdResult<(FlowReport, FlowArtifacts, FlowSpan, bool)> {
+        seed: Option<Arc<PlacementSeed>>,
+    ) -> PdResult<(FlowReport, FlowArtifacts)> {
         let cfg = &self.config;
-        let mut obs = FlowObserver::enabled();
+        let mut span = SpanNode::new("flow");
 
         // --- Synthesis stand-in -----------------------------------------
         let mut netlist = match &cfg.source {
@@ -444,35 +440,35 @@ impl Rtl2GdsFlow {
             // Ingested designs arrive pre-elaborated; implement as-is.
             NetlistSource::External(nl) => (**nl).clone(),
         };
-        let mut syn = FlowSpan::new("synthesis");
+        let mut syn = SpanNode::new("synthesis");
         syn.counter("cells", netlist.cell_count() as u64);
         syn.counter("macros", netlist.macros().len() as u64);
         syn.counter("nets", netlist.nets().len() as u64);
-        obs.record(syn);
+        span.children.push(syn);
 
         // --- Floorplan ----------------------------------------------------
         let floorplan = Floorplan::plan(&cfg.pdk, &cfg.soc, &netlist, cfg.die_override)?;
-        let mut fps = FlowSpan::new("floorplan");
+        let mut fps = SpanNode::new("floorplan");
         fps.counter("regions", floorplan.regions.len() as u64);
         fps.counter("die_um2", round_counter(floorplan.die.area().value()));
         fps.counter(
             "target_clock_khz",
             round_counter(floorplan.target_clock.value() * 1_000.0),
         );
-        obs.record(fps);
+        span.children.push(fps);
 
         // --- Clustering + global placement ---------------------------------
         let clustering = Clustering::build(&netlist, &cfg.pdk)?;
-        let mut cls = FlowSpan::new("clustering");
+        let mut cls = SpanNode::new("clustering");
         cls.counter("clusters", clustering.clusters.len() as u64);
         cls.counter("nets", clustering.nets.len() as u64);
-        obs.record(cls);
+        span.children.push(cls);
         // --- Global placement + row legalisation ---------------------------
         // A validated seed replays the seeding run's placement and spans
         // verbatim (byte-identical by placement-key equality); otherwise
         // the placer anneals cold and we record a fresh seed.
         let (seed_out, warm) = match seed {
-            Some(s) if s.validates_against(cfg, &netlist, &clustering) => (s.clone(), true),
+            Some(s) if s.validates_against(cfg, &netlist, &clustering) => (s, true),
             _ => {
                 let (mut placement, place_span) =
                     place_traced(&clustering, &floorplan, &cfg.placer)?;
@@ -480,7 +476,7 @@ impl Rtl2GdsFlow {
                     let leg =
                         crate::legalize::legalize(&netlist, &placement, &floorplan, &cfg.pdk)?;
                     placement.cell_pos = leg.cell_pos;
-                    let mut ls = FlowSpan::new("legalize");
+                    let mut ls = SpanNode::new("legalize");
                     ls.counter("rows_used", leg.rows_used as u64);
                     ls.counter("far_placed", leg.far_placed as u64);
                     ls.counter(
@@ -491,45 +487,39 @@ impl Rtl2GdsFlow {
                 } else {
                     (None, 0.0)
                 };
-                (
-                    PlacementSeed {
-                        placement_key: cfg.placement_key(),
-                        placement,
-                        place_span,
-                        legalize_span,
-                        legalization_displacement_um,
-                    },
-                    false,
-                )
+                let seed = PlacementSeed {
+                    placement_key: cfg.placement_key(),
+                    placement,
+                    place_span,
+                    legalize_span,
+                    legalization_displacement_um,
+                };
+                (Arc::new(seed), false)
             }
         };
-        obs.record(seed_out.place_span.clone());
-        if let Some(ls) = &seed_out.legalize_span {
-            obs.record(ls.clone());
-        }
+        span.children.push(seed_out.place_span.clone());
+        span.children.extend(seed_out.legalize_span.clone());
         let mut placement = seed_out.placement.clone();
         let legalization_displacement_um = seed_out.legalization_displacement_um;
 
         // --- Route, post-route optimisation, sign-off ----------------------
-        let (
-            OptOutcome {
-                upsized,
-                buffers_inserted,
-                routing,
-                timing,
-                ..
-            },
-            opt_span,
-        ) = post_route_optimize_traced(
+        let OptOutcome {
+            upsized,
+            buffers_inserted,
+            routing,
+            timing,
+            span: opt_span,
+            ..
+        } = post_route_optimize(
             &mut netlist,
             &mut placement,
             &cfg.pdk,
             floorplan.target_clock,
             &cfg.opt,
         )?;
-        obs.record(opt_span);
+        span.children.push(opt_span);
         let clock_tree = estimate_clock_tree(&netlist, &placement, &floorplan, &cfg.pdk)?;
-        let mut cts = FlowSpan::new("cts");
+        let mut cts = SpanNode::new("cts");
         cts.counter("sinks", clock_tree.sinks as u64);
         cts.counter("levels", u64::from(clock_tree.levels));
         cts.counter("buffers", clock_tree.buffers as u64);
@@ -545,7 +535,7 @@ impl Rtl2GdsFlow {
             "skew_ps",
             round_counter(clock_tree.skew_bound.value() * 1_000.0),
         );
-        obs.record(cts);
+        span.children.push(cts);
         let power = analyze_power(
             &netlist,
             &routing,
@@ -555,13 +545,13 @@ impl Rtl2GdsFlow {
             floorplan.target_clock,
             cfg.activity,
         )?;
-        let mut pws = FlowSpan::new("power");
+        let mut pws = SpanNode::new("power");
         pws.counter("total_uw", round_counter(power.total.value() * 1_000.0));
         pws.counter(
             "upper_tier_uw",
             round_counter(power.upper_tier.value() * 1_000.0),
         );
-        obs.record(pws);
+        span.children.push(pws);
 
         // --- Report ---------------------------------------------------------
         let stats = m3d_netlist::NetlistStats::compute(&netlist, &cfg.pdk)?;
@@ -627,8 +617,10 @@ impl Rtl2GdsFlow {
             clock_tree,
             power,
             seed: seed_out,
+            span,
+            warm,
         };
-        Ok((report, artifacts, obs.finish("flow"), warm))
+        Ok((report, artifacts))
     }
 }
 
@@ -716,8 +708,9 @@ mod tests {
     #[test]
     fn traced_flow_exposes_phase_spans_and_is_deterministic() {
         let cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
-        let (r1, a1, t1) = Rtl2GdsFlow::new(cfg.clone()).run_traced().unwrap();
-        let (r2, _, t2) = Rtl2GdsFlow::new(cfg).run_traced().unwrap();
+        let (r1, a1) = Rtl2GdsFlow::new(cfg.clone()).run().unwrap();
+        let (r2, a2) = Rtl2GdsFlow::new(cfg).run().unwrap();
+        let (t1, t2) = (&a1.span, &a2.span);
         assert_eq!(r1, r2, "flow report is deterministic");
         assert_eq!(t1, t2, "sub-span tree is deterministic");
         assert_eq!(t1.name, "flow");
@@ -781,8 +774,8 @@ mod tests {
     fn warm_seeded_run_is_byte_identical_to_cold() {
         let mut cold_cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
         cold_cfg.activity = 0.20;
-        let (cr, ca, ct, cold_warm) = Rtl2GdsFlow::new(cold_cfg.clone()).run_seeded(None).unwrap();
-        assert!(!cold_warm);
+        let (cr, ca) = Rtl2GdsFlow::new(cold_cfg.clone()).run_seeded(None).unwrap();
+        assert!(!ca.warm);
 
         // A lattice neighbour: same placement key, different post-placement
         // knobs — its seed must warm-start the target bit-for-bit.
@@ -791,14 +784,14 @@ mod tests {
         warm_cfg.opt.upsize_threshold_ns = cold_cfg.opt.upsize_threshold_ns * 0.5;
         assert_eq!(warm_cfg.placement_key(), cold_cfg.placement_key());
         assert_ne!(warm_cfg.stable_key(), cold_cfg.stable_key());
-        let (_, na, _, _) = Rtl2GdsFlow::new(warm_cfg).run_seeded(None).unwrap();
+        let (_, na) = Rtl2GdsFlow::new(warm_cfg).run_seeded(None).unwrap();
 
-        let (wr, wa, wt, warm) = Rtl2GdsFlow::new(cold_cfg)
-            .run_seeded(Some(&na.seed))
+        let (wr, wa) = Rtl2GdsFlow::new(cold_cfg)
+            .run_seeded(Some(na.seed))
             .unwrap();
-        assert!(warm, "matching placement key must take the warm path");
+        assert!(wa.warm, "matching placement key must take the warm path");
         assert_eq!(wr, cr, "warm report == cold report");
-        assert_eq!(wt, ct, "warm span tree == cold span tree");
+        assert_eq!(wa.span, ca.span, "warm span tree == cold span tree");
         assert_eq!(wa.placement, ca.placement);
         assert_eq!(wa.routing, ca.routing);
         assert_eq!(wa.seed, ca.seed);
@@ -807,24 +800,26 @@ mod tests {
     #[test]
     fn mismatched_or_corrupt_seed_falls_back_to_cold() {
         let cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
-        let (cr, ca, _) = Rtl2GdsFlow::new(cfg.clone()).run_traced().unwrap();
+        let (cr, ca) = Rtl2GdsFlow::new(cfg.clone()).run().unwrap();
 
         // Different placement key (placer effort differs) → cold.
         let mut other = cfg.clone();
         other.placer = PlacerConfig::default();
         assert_ne!(other.placement_key(), cfg.placement_key());
-        let (_, oa, _, _) = Rtl2GdsFlow::new(other).run_seeded(None).unwrap();
-        let (r1, _, _, warm1) = Rtl2GdsFlow::new(cfg.clone())
-            .run_seeded(Some(&oa.seed))
+        let (_, oa) = Rtl2GdsFlow::new(other).run().unwrap();
+        let (r1, a1) = Rtl2GdsFlow::new(cfg.clone())
+            .run_seeded(Some(oa.seed))
             .unwrap();
-        assert!(!warm1);
+        assert!(!a1.warm);
         assert_eq!(r1, cr);
 
         // Right key but truncated placement (a corrupt artifact) → cold.
-        let mut corrupt = ca.seed.clone();
+        let mut corrupt = (*ca.seed).clone();
         corrupt.placement.cell_pos.pop();
-        let (r2, _, _, warm2) = Rtl2GdsFlow::new(cfg).run_seeded(Some(&corrupt)).unwrap();
-        assert!(!warm2);
+        let (r2, a2) = Rtl2GdsFlow::new(cfg)
+            .run_seeded(Some(Arc::new(corrupt)))
+            .unwrap();
+        assert!(!a2.warm);
         assert_eq!(r2, cr);
     }
 
@@ -855,13 +850,12 @@ mod tests {
             }
             proptest::prop_assert_eq!(a.placement_key(), b.placement_key());
 
-            let (_, na, _, _) = Rtl2GdsFlow::new(a).run_seeded(None).unwrap();
-            let (cr, ca, ct, _) = Rtl2GdsFlow::new(b.clone()).run_seeded(None).unwrap();
-            let (wr, wa, wt, warm) =
-                Rtl2GdsFlow::new(b).run_seeded(Some(&na.seed)).unwrap();
-            proptest::prop_assert!(warm);
+            let (_, na) = Rtl2GdsFlow::new(a).run().unwrap();
+            let (cr, ca) = Rtl2GdsFlow::new(b.clone()).run().unwrap();
+            let (wr, wa) = Rtl2GdsFlow::new(b).run_seeded(Some(na.seed)).unwrap();
+            proptest::prop_assert!(wa.warm);
             proptest::prop_assert_eq!(wr, cr);
-            proptest::prop_assert_eq!(wt, ct);
+            proptest::prop_assert_eq!(wa.span, ca.span);
             proptest::prop_assert_eq!(wa.placement, ca.placement);
             proptest::prop_assert_eq!(wa.routing, ca.routing);
         }

@@ -58,8 +58,8 @@ pub use flow::{
 pub use gds::LayoutExport;
 pub use geom::{BoundingBox, Point, Rect};
 pub use legalize::{legalize, LegalizeReport};
-pub use observe::{round_counter, FlowObserver, FlowSpan};
-pub use opt::{post_route_optimize, post_route_optimize_traced, OptConfig, OptOutcome};
+pub use observe::round_counter;
+pub use opt::{post_route_optimize, OptConfig, OptOutcome};
 pub use partition::{fold_two_tier, FoldingReport};
 pub use place::{place, place_traced, Placement, PlacerConfig};
 pub use power::{analyze_power, PowerDensityGrid, PowerReport, DEFAULT_ACTIVITY};

@@ -1,82 +1,11 @@
-//! Flow instrumentation: deterministic sub-spans the RTL-to-GDS flow
-//! emits per phase and per optimisation iteration.
+//! Flow instrumentation helpers.
 //!
-//! The pd crate sits *below* the experiment engine, so it cannot use
-//! `m3d_core::obs::SpanNode` directly. Instead the flow reports into a
-//! crate-local [`FlowSpan`] tree through a [`FlowObserver`] hook; the
-//! engine's flow cache converts the tree into engine spans and attaches
-//! it under the `pd-flow` stage span, which is what `--trace-json`
-//! renders. Every counter here is an integer derived from the flow's
-//! seeded, single-threaded math (iteration counts, rounded HPWL in µm,
-//! ILV crossings, picosecond critical paths), so a given
-//! [`crate::FlowConfig`] always produces a byte-identical tree —
-//! wall-clock time never enters.
-
-use serde::{Deserialize, Serialize};
-
-/// One instrumented unit of flow work: a phase (`place`, `route`,
-/// `cts`, `sta`, …), one annealing temperature step, or one post-route
-/// optimisation round.
-///
-/// Serialisable so recorded spans can ride the on-disk artifact store:
-/// a warm-started flow replays the seeding run's `place`/`legalize`
-/// spans verbatim, keeping traces byte-identical to a cold run.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct FlowSpan {
-    /// Span name (phase or iteration label).
-    pub name: String,
-    /// Named integer counters in insertion order (iteration counts,
-    /// HPWL, overflow, ILV crossings, …).
-    pub counters: Vec<(String, u64)>,
-    /// Nested spans in execution order.
-    pub children: Vec<FlowSpan>,
-}
-
-impl FlowSpan {
-    /// A fresh leaf span.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            counters: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Appends one named counter.
-    pub fn counter(&mut self, name: impl Into<String>, value: u64) {
-        self.counters.push((name.into(), value));
-    }
-
-    /// Appends a child span.
-    pub fn child(&mut self, span: FlowSpan) {
-        self.children.push(span);
-    }
-
-    /// Looks up a counter on this span by name.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Depth-first search for the first span named `name`.
-    pub fn find(&self, name: &str) -> Option<&FlowSpan> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
-    /// Total spans in this subtree (including `self`).
-    pub fn span_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(FlowSpan::span_count)
-            .sum::<usize>()
-    }
-}
+//! Every flow phase records an [`m3d_tech::SpanNode`] (the engine's own
+//! span type) with integer counters derived from the flow's seeded,
+//! single-threaded math: iteration counts, rounded HPWL in µm, ILV
+//! crossings, picosecond critical paths. A given [`crate::FlowConfig`]
+//! therefore always produces a byte-identical tree — wall-clock time
+//! never enters.
 
 /// Rounds a non-negative physical quantity (µm, µW, ps, …) to the
 /// nearest integer counter value. Deterministic for deterministic
@@ -89,100 +18,9 @@ pub fn round_counter(value: f64) -> u64 {
     }
 }
 
-/// The hook the flow phases report spans into.
-///
-/// A disabled observer drops every span unseen, so the untraced
-/// [`crate::Rtl2GdsFlow::run`] path pays nothing beyond the integer
-/// bookkeeping the phases already do.
-#[derive(Debug, Default)]
-pub struct FlowObserver {
-    enabled: bool,
-    phases: Vec<FlowSpan>,
-}
-
-impl FlowObserver {
-    /// An observer that records every phase span.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            phases: Vec::new(),
-        }
-    }
-
-    /// An observer that drops everything (the untraced path).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether phases should bother building spans at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one completed phase span (no-op when disabled).
-    pub fn record(&mut self, span: FlowSpan) {
-        if self.enabled {
-            self.phases.push(span);
-        }
-    }
-
-    /// Consumes the observer into a root span named `name` holding the
-    /// recorded phases in execution order.
-    pub fn finish(self, name: impl Into<String>) -> FlowSpan {
-        FlowSpan {
-            name: name.into(),
-            counters: Vec::new(),
-            children: self.phases,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spans_nest_count_and_look_up() {
-        let mut root = FlowSpan::new("flow");
-        let mut place = FlowSpan::new("place");
-        place.counter("steps", 6);
-        let mut step = FlowSpan::new("step0");
-        step.counter("moves", 120);
-        step.counter("accepted", 48);
-        place.child(step);
-        root.child(place);
-        root.child(FlowSpan::new("route"));
-        assert_eq!(root.span_count(), 4);
-        assert_eq!(root.find("place").unwrap().counter_value("steps"), Some(6));
-        assert_eq!(
-            root.find("step0").unwrap().counter_value("accepted"),
-            Some(48)
-        );
-        assert_eq!(root.find("step0").unwrap().counter_value("missing"), None);
-        assert!(root.find("cts").is_none());
-    }
-
-    #[test]
-    fn disabled_observer_drops_spans() {
-        let mut off = FlowObserver::disabled();
-        assert!(!off.is_enabled());
-        off.record(FlowSpan::new("place"));
-        assert!(off.finish("flow").children.is_empty());
-
-        let mut on = FlowObserver::enabled();
-        assert!(on.is_enabled());
-        on.record(FlowSpan::new("place"));
-        on.record(FlowSpan::new("route"));
-        let root = on.finish("flow");
-        assert_eq!(root.name, "flow");
-        assert_eq!(
-            root.children
-                .iter()
-                .map(|c| c.name.as_str())
-                .collect::<Vec<_>>(),
-            ["place", "route"]
-        );
-    }
 
     #[test]
     fn rounding_is_clamped_and_finite() {

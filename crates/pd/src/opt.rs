@@ -6,21 +6,21 @@
 use m3d_netlist::{Driver, Netlist, Sink};
 use m3d_tech::stdcell::{CellKind, DriveStrength};
 use m3d_tech::units::Megahertz;
-use m3d_tech::{Pdk, Tier};
+use m3d_tech::{Pdk, SpanNode, Tier};
 
 use std::collections::HashSet;
 
 use crate::error::PdResult;
 use crate::geom::Point;
-use crate::observe::{round_counter, FlowSpan};
+use crate::observe::round_counter;
 use crate::place::Placement;
 use crate::route::{estimate_routing, reestimate_routing, RoutingEstimate};
 use crate::sta::{analyze_timing, TimingReport};
 
 /// Builds a `route` span from one routing estimate (net count, rounded
 /// wirelength, and the paper's headline ILV-crossing counters).
-fn route_span(routing: &RoutingEstimate) -> FlowSpan {
-    let mut s = FlowSpan::new("route");
+fn route_span(routing: &RoutingEstimate) -> SpanNode {
+    let mut s = SpanNode::new("route");
     s.counter("nets", routing.nets.len() as u64);
     s.counter(
         "wirelength_um",
@@ -33,8 +33,8 @@ fn route_span(routing: &RoutingEstimate) -> FlowSpan {
 
 /// Builds an `sta` span from one timing report (endpoint/violation
 /// counts and the critical path in integer picoseconds).
-fn sta_span(timing: &TimingReport) -> FlowSpan {
-    let mut s = FlowSpan::new("sta");
+fn sta_span(timing: &TimingReport) -> SpanNode {
+    let mut s = SpanNode::new("sta");
     s.counter("endpoints", timing.endpoints as u64);
     s.counter("violations", timing.violations as u64);
     s.counter(
@@ -92,6 +92,10 @@ pub struct OptOutcome {
     pub routing: RoutingEstimate,
     /// Timing after the final round.
     pub timing: TimingReport,
+    /// The `opt` span: the initial `route`/`sta` children, then one
+    /// `round{N}` child per executed round holding that round's fix
+    /// counters and its re-route / re-timing spans.
+    pub span: SpanNode,
 }
 
 fn net_center(netlist: &Netlist, placement: &Placement, ni: usize) -> Point {
@@ -126,7 +130,8 @@ fn net_center(netlist: &Netlist, placement: &Placement, ni: usize) -> Point {
 }
 
 /// Runs post-route optimisation, mutating the netlist (buffer insertion)
-/// and placement (positions for the new buffers).
+/// and placement (positions for the new buffers). The outcome carries
+/// the `opt` span, deterministic for a given netlist + placement.
 ///
 /// # Errors
 ///
@@ -138,32 +143,14 @@ pub fn post_route_optimize(
     target_clock: Megahertz,
     config: &OptConfig,
 ) -> PdResult<OptOutcome> {
-    post_route_optimize_traced(netlist, placement, pdk, target_clock, config).map(|(o, _)| o)
-}
-
-/// [`post_route_optimize`], additionally returning an `opt` [`FlowSpan`]:
-/// the initial `route`/`sta` children, then one `round{N}` child per
-/// executed round holding that round's fix counters and its re-route /
-/// re-timing spans. Deterministic for a given netlist + placement.
-///
-/// # Errors
-///
-/// Same as [`post_route_optimize`].
-pub fn post_route_optimize_traced(
-    netlist: &mut Netlist,
-    placement: &mut Placement,
-    pdk: &Pdk,
-    target_clock: Megahertz,
-    config: &OptConfig,
-) -> PdResult<(OptOutcome, FlowSpan)> {
     let mut upsized = 0usize;
     let mut buffers = 0usize;
     let mut rounds = 0usize;
     let mut routing = estimate_routing(netlist, placement, pdk, config.detour)?;
     let mut timing = analyze_timing(netlist, &routing, pdk, target_clock)?;
-    let mut span = FlowSpan::new("opt");
-    span.child(route_span(&routing));
-    span.child(sta_span(&timing));
+    let mut span = SpanNode::new("opt");
+    span.children.push(route_span(&routing));
+    span.children.push(sta_span(&timing));
 
     for round in 0..config.max_rounds {
         rounds = round + 1;
@@ -263,12 +250,12 @@ pub fn post_route_optimize_traced(
         dirty.dedup();
         routing = reestimate_routing(netlist, placement, pdk, config.detour, &routing, &dirty)?;
         timing = analyze_timing(netlist, &routing, pdk, target_clock)?;
-        let mut round_span = FlowSpan::new(format!("round{round}"));
+        let mut round_span = SpanNode::new(format!("round{round}"));
         round_span.counter("upsized", (upsized - upsized_before) as u64);
         round_span.counter("buffers_inserted", (buffers - buffers_before) as u64);
-        round_span.child(route_span(&routing));
-        round_span.child(sta_span(&timing));
-        span.child(round_span);
+        round_span.children.push(route_span(&routing));
+        round_span.children.push(sta_span(&timing));
+        span.children.push(round_span);
         if !changed || timing.timing_met() {
             break;
         }
@@ -277,16 +264,14 @@ pub fn post_route_optimize_traced(
     span.counter("upsized", upsized as u64);
     span.counter("buffers_inserted", buffers as u64);
 
-    Ok((
-        OptOutcome {
-            rounds,
-            upsized,
-            buffers_inserted: buffers,
-            routing,
-            timing,
-        },
+    Ok(OptOutcome {
+        rounds,
+        upsized,
+        buffers_inserted: buffers,
+        routing,
+        timing,
         span,
-    ))
+    })
 }
 
 #[cfg(test)]
@@ -350,9 +335,8 @@ mod tests {
     #[test]
     fn traced_optimisation_records_rounds_and_ilv_counters() {
         let (mut nl, mut p, pdk, clock) = setup();
-        let (out, span) =
-            post_route_optimize_traced(&mut nl, &mut p, &pdk, clock, &OptConfig::default())
-                .unwrap();
+        let out = post_route_optimize(&mut nl, &mut p, &pdk, clock, &OptConfig::default()).unwrap();
+        let span = &out.span;
         assert_eq!(span.name, "opt");
         assert_eq!(span.counter_value("rounds"), Some(out.rounds as u64));
         assert_eq!(span.counter_value("upsized"), Some(out.upsized as u64));

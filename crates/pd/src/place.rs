@@ -33,12 +33,13 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use m3d_tech::units::{Microns, SquareMicrons};
+use m3d_tech::SpanNode;
 
 use crate::cluster::{Cluster, ClusterKind, Clustering};
 use crate::error::{PdError, PdResult};
 use crate::floorplan::{Floorplan, Region};
 use crate::geom::{BoundingBox, Point, Rect};
-use crate::observe::{round_counter, FlowSpan};
+use crate::observe::round_counter;
 
 /// Placer tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -354,7 +355,7 @@ pub fn place(
     place_traced(clustering, floorplan, config).map(|(p, _)| p)
 }
 
-/// [`place`], additionally returning a `place` [`FlowSpan`] with one
+/// [`place`], additionally returning a `place` [`SpanNode`] with one
 /// child per annealing temperature step (move/accept counts, rounded
 /// HPWL and density overflow after the step). The span is fully
 /// deterministic for a fixed seed, so traced placements diff clean.
@@ -366,7 +367,7 @@ pub fn place_traced(
     clustering: &Clustering,
     floorplan: &Floorplan,
     config: &PlacerConfig,
-) -> PdResult<(Placement, FlowSpan)> {
+) -> PdResult<(Placement, SpanNode)> {
     anneal::<GroupedNets>(clustering, floorplan, config).map(|(p, span, _)| (p, span))
 }
 
@@ -376,7 +377,7 @@ fn anneal<'a, C: HpwlCost<'a>>(
     clustering: &'a Clustering,
     floorplan: &Floorplan,
     config: &PlacerConfig,
-) -> PdResult<(Placement, FlowSpan, C)> {
+) -> PdResult<(Placement, SpanNode, C)> {
     let n = clustering.clusters.len();
     let mut pos = vec![Point::default(); n];
     let mut region_of = vec![usize::MAX; n];
@@ -471,7 +472,7 @@ fn anneal<'a, C: HpwlCost<'a>>(
     }
 
     // --- Simulated annealing ----------------------------------------------
-    let mut span = FlowSpan::new("place");
+    let mut span = SpanNode::new("place");
     span.counter("clusters", n as u64);
     span.counter("movable", movable.len() as u64);
     span.counter("nets", clustering.nets.len() as u64);
@@ -528,12 +529,12 @@ fn anneal<'a, C: HpwlCost<'a>>(
                     pos[ci] = old_p;
                 }
             }
-            let mut step_span = FlowSpan::new(format!("step{step}"));
+            let mut step_span = SpanNode::new(format!("step{step}"));
             step_span.counter("moves", moves);
             step_span.counter("accepted", accepted);
             step_span.counter("hpwl_um", round_counter(hpwl_total));
             step_span.counter("overflow_um2", round_counter(bins.total_overflow()));
-            span.child(step_span);
+            span.children.push(step_span);
             temp *= config.cooling;
         }
     }

@@ -43,8 +43,9 @@ use super::replica::{send_one, Replica, ReplicaConfig};
 use super::ring::{Ring, DEFAULT_VNODES};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    key_hex, Request, Response, CASE_CASES, CASE_DRAIN, CASE_HEALTH, CASE_METRICS,
-    CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES, CASE_UNDRAIN,
+    key_hex, serve_connection, Request, Response, CASE_CASES, CASE_DRAIN, CASE_HEALTH,
+    CASE_METRICS, CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES,
+    CASE_UNDRAIN,
 };
 use crate::server::{trace_filter, ScrapeGate};
 
@@ -309,12 +310,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FleetShared>) {
                     break;
                 }
                 let shared = Arc::clone(shared);
-                std::thread::Builder::new()
+                // A failed spawn drops (closes) this one connection; the
+                // loop keeps accepting.
+                let _ = std::thread::Builder::new()
                     .name("m3d-gateway-conn".to_owned())
                     .spawn(move || {
                         let _ = handle_connection(&shared, stream);
-                    })
-                    .expect("spawn gateway connection handler");
+                    });
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -338,31 +340,9 @@ struct ReplicaConn {
 /// are pooled per client connection so a client's repeat requests ride
 /// one warm TCP path to their owning replica.
 fn handle_connection(shared: &Arc<FleetShared>, stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
     let mut scrapes = ScrapeGate::new(shared.scrape_min_interval);
     let mut pool: HashMap<usize, ReplicaConn> = HashMap::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let out = match Request::parse(&line) {
-            Err(e) => Response::Err {
-                id: 0,
-                code: ErrorCode::BadRequest,
-                error: e,
-                retry_after_ms: None,
-            }
-            .to_line(),
-            Ok(req) => dispatch(shared, req, &mut scrapes, &mut pool),
-        };
-        writer.write_all(out.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
-    Ok(())
+    serve_connection(stream, |req| dispatch(shared, req, &mut scrapes, &mut pool))
 }
 
 /// Routes one parsed request and returns the response *line* (local

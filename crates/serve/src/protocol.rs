@@ -13,6 +13,10 @@
 //! (object keys sorted recursively), so `{"a":1,"b":2}` and
 //! `{"b":2,"a":1}` coalesce onto one computation.
 
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
+
+use m3d_bench::cases::MAX_SOURCE_BYTES;
 use m3d_core::obs::TraceContext;
 use m3d_core::ErrorCode;
 use m3d_tech::{StableHash, StableHasher};
@@ -371,6 +375,97 @@ impl Response {
     }
 }
 
+/// Longest request line a server reads, in bytes: the largest legal
+/// `ingest` upload ([`MAX_SOURCE_BYTES`]) after JSON escaping (at most
+/// 6 bytes per source byte, as `\u00XX`), plus 64 KiB for the rest of
+/// the request envelope.
+pub const MAX_LINE_BYTES: usize = 6 * MAX_SOURCE_BYTES + (64 << 10);
+
+/// Reads the next newline-terminated line of at most `cap` bytes into
+/// `buf` (cleared first, so a connection reuses one buffer) and returns
+/// it without its `\n` / `\r\n` terminator; `None` at end of stream.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the line exceeds `cap` bytes or
+/// is not UTF-8 (the rest of the stream cannot be framed), and any I/O
+/// error of `reader`.
+pub(crate) fn read_line_capped<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    cap: usize,
+) -> io::Result<Option<&'b str>> {
+    buf.clear();
+    let limit = u64::try_from(cap).map_or(u64::MAX, |c| c.saturating_add(1));
+    if io::Read::take(&mut *reader, limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > cap {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line exceeds {cap} bytes"),
+        ));
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Serves one client connection of `m3d-serve` or `m3d-gateway`: reads
+/// request lines of at most [`MAX_LINE_BYTES`], skips blank ones, and
+/// writes one reply line per request — `answer`'s for a parsed request,
+/// `bad-request` for a malformed one. A line that cannot be framed
+/// (oversized or not UTF-8) is answered `bad-request` and ends the
+/// connection.
+///
+/// # Errors
+///
+/// Propagates I/O errors of the connection.
+pub(crate) fn serve_connection(
+    stream: TcpStream,
+    mut answer: impl FnMut(Request) -> String,
+) -> io::Result<()> {
+    // Line-sized writes each wait on a delayed ACK under Nagle's
+    // algorithm (~40 ms per request); this is a request/response
+    // protocol, so send eagerly.
+    stream.set_nodelay(true)?;
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let bad_request = |error: String| {
+        Response::Err {
+            id: 0,
+            code: ErrorCode::BadRequest,
+            error,
+            retry_after_ms: None,
+        }
+        .to_line()
+    };
+    let mut buf = Vec::new();
+    loop {
+        let (reply, last) = match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
+            Ok(None) => return Ok(()),
+            Ok(Some(line)) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => (
+                Request::parse(line).map_or_else(bad_request, &mut answer),
+                false,
+            ),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => (bad_request(e.to_string()), true),
+            Err(e) => return Err(e),
+        };
+        writer.write_all(reply.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        if last {
+            return Ok(());
+        }
+    }
+}
+
 /// Formats a content key the way responses carry it.
 pub fn key_hex(key: u64) -> String {
     format!("{key:016x}")
@@ -441,6 +536,37 @@ mod tests {
 
     fn obj(fields: Vec<(&str, Value)>) -> Value {
         Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    #[test]
+    fn capped_reader_frames_lines_and_refuses_overlong_ones() {
+        let mut buf = Vec::new();
+        let mut lines = |mut input: &[u8]| {
+            let mut out: Vec<String> = Vec::new();
+            loop {
+                match read_line_capped(&mut input, &mut buf, 4) {
+                    Ok(Some(line)) => out.push(line.to_owned()),
+                    Ok(None) => return Ok(out),
+                    Err(e) => return Err((out, e.kind())),
+                }
+            }
+        };
+        // Terminators are stripped, exactly `cap` bytes fit, and a final
+        // unterminated line still counts.
+        assert_eq!(
+            lines(b"ab\r\n\nabcd\ngh"),
+            Ok(vec!["ab".into(), String::new(), "abcd".into(), "gh".into()])
+        );
+        // `cap + 1` bytes are refused, newline or not, as is non-UTF-8.
+        let refused = |out: &[&str]| {
+            Err((
+                out.iter().map(|&s| s.to_owned()).collect(),
+                io::ErrorKind::InvalidData,
+            ))
+        };
+        assert_eq!(lines(b"ok\nabcde"), refused(&["ok"]));
+        assert_eq!(lines(b"abcde\n"), refused(&[]));
+        assert_eq!(lines(b"\xff\n"), refused(&[]));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! refused with 503, workers exit when the queue runs dry.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -38,8 +37,8 @@ use serde::Value;
 
 use crate::metrics::Metrics;
 use crate::protocol::{
-    key_hex, Request, Response, CASE_CASES, CASE_HEALTH, CASE_METRICS, CASE_METRICS_TEXT,
-    CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES,
+    key_hex, serve_connection, Request, Response, CASE_CASES, CASE_HEALTH, CASE_METRICS,
+    CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES,
 };
 use crate::queue::{Bounded, PushError};
 
@@ -284,12 +283,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     break; // the drain's wake-up connection (or later)
                 }
                 let shared = Arc::clone(shared);
-                std::thread::Builder::new()
+                // A failed spawn drops (closes) this one connection; the
+                // loop keeps accepting.
+                let _ = std::thread::Builder::new()
                     .name("m3d-serve-conn".to_owned())
                     .spawn(move || {
                         let _ = handle_connection(&shared, stream);
-                    })
-                    .expect("spawn connection handler");
+                    });
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -308,32 +308,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// connection contributes at most one queue slot at a time — client
 /// concurrency comes from concurrent connections.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
-    // Line-sized writes each wait on a delayed ACK under Nagle's
-    // algorithm (~40 ms per request); this is a request/response
-    // protocol, so send eagerly.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
     let mut scrapes = ScrapeGate::new(shared.scrape_min_interval);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = match Request::parse(&line) {
-            Err(e) => Response::Err {
-                id: 0,
-                code: ErrorCode::BadRequest,
-                error: e,
-                retry_after_ms: None,
-            },
-            Ok(req) => dispatch(shared, req, &mut scrapes),
-        };
-        writer.write_all(resp.to_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
-    Ok(())
+    serve_connection(stream, |req| dispatch(shared, req, &mut scrapes).to_line())
 }
 
 /// Routes one parsed request: admin cases inline, experiment cases

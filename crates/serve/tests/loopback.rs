@@ -7,7 +7,7 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use m3d_core::ErrorCode;
-use m3d_serve::protocol::{Request, Response};
+use m3d_serve::protocol::{Request, Response, MAX_LINE_BYTES};
 use m3d_serve::{serve, Handle, ServerConfig};
 use serde::Value;
 
@@ -244,6 +244,36 @@ fn bad_lines_and_unknown_cases_answer_without_closing() {
     }
     // The connection survived all three failures.
     assert_eq!(client.round_trip_line(r#"{"case":"ping"}"#).status(), 200);
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn oversized_request_lines_are_refused_and_the_server_keeps_serving() {
+    let handle = start(1, 4);
+    let mut client = Client::connect(&handle);
+    // One byte past the cap and no newline: the server must answer
+    // instead of buffering until it runs out of memory.
+    client
+        .writer
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send");
+    client.writer.flush().expect("flush");
+    let mut reply = String::new();
+    client.reader.read_line(&mut reply).expect("receive");
+    match Response::parse(reply.trim()).expect("valid response line") {
+        Response::Err { code, error, .. } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(error.contains("exceeds"), "{error}");
+        }
+        other => panic!("expected bad-request, got {other:?}"),
+    }
+    // The stream cannot be framed any more, so the server hangs up...
+    reply.clear();
+    assert_eq!(client.reader.read_line(&mut reply).expect("clean EOF"), 0);
+    // ...and keeps serving fresh connections.
+    let ping = Client::connect(&handle).round_trip_line(r#"{"case":"ping"}"#);
+    assert_eq!(ping.status(), 200);
     handle.shutdown();
     handle.wait();
 }

@@ -48,6 +48,7 @@ pub mod macro_model;
 pub mod pdk;
 pub mod rram;
 pub mod scaling;
+pub mod span;
 pub mod stable_hash;
 pub mod stdcell;
 pub mod thermal_profile;
@@ -61,6 +62,7 @@ pub use macro_model::{MacroBlockage, RramMacro, SramMacro};
 pub use pdk::{DesignRules, Pdk};
 pub use rram::{RramCellModel, SelectorTech};
 pub use scaling::{projection_ladder, NodeScaling};
+pub use span::{Provenance, SpanNode};
 pub use stable_hash::{StableHash, StableHasher};
 pub use stdcell::{CellKind, CellLibrary, DriveStrength, StdCell};
 pub use thermal_profile::{HeatSource, ThermalLayerSpec};

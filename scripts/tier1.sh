@@ -19,34 +19,6 @@ cargo fmt --check
 cargo build --release -p m3d-thermal
 cargo test -q -p m3d-thermal
 
-# Static engine-port gate: every experiment binary must drive the typed
-# case engine (RunArgs), and the retired pre-engine table helpers must
-# stay deleted.
-unported="$(grep -rL RunArgs crates/bench/src/bin/*.rs || true)"
-if [ -n "$unported" ]; then
-    echo "tier1: FAIL — binaries bypass the RunArgs case engine:" >&2
-    echo "$unported" >&2
-    exit 1
-fi
-if grep -rEn '\b(header|rule|pct)\(' crates/bench/src/ >&2; then
-    echo "tier1: FAIL — pre-engine table helpers resurfaced in m3d-bench" >&2
-    exit 1
-fi
-
-# Flow-cache shim gate: the deprecated FlowCache wrappers (`run`,
-# `run_traced`, `run_report_traced`, `run_report_coalesced`) are
-# deleted; no call site may use their shapes and cache.rs must not
-# regrow them. (`Rtl2GdsFlow::run_traced` in m3d-pd is a different,
-# zero-argument API and stays.)
-if grep -rEn '\.run_report_traced\(|\.run_report_coalesced\(|flows\.run\(|flows\.run_traced\(' crates/ >&2; then
-    echo "tier1: FAIL — retired FlowCache run* shims are back in use" >&2
-    exit 1
-fi
-if grep -En 'fn run(_traced|_report_traced|_report_coalesced)?\(' crates/core/src/engine/cache.rs >&2; then
-    echo "tier1: FAIL — m3d-core FlowCache regrew a deprecated run* shim" >&2
-    exit 1
-fi
-
 # Determinism gate: the Obs. 10 JSON artifact must be byte-identical
 # across runs and across worker counts (the report deliberately excludes
 # wall-clock and job-count fields). The disk cache is detached so both

@@ -26,8 +26,8 @@ fn small_cs() -> CsConfig {
 type Bits = [u64; 5];
 
 fn measure(cfg: FlowConfig) -> (Bits, m3d::pd::Rect) {
-    let (report, artifacts, span) = Rtl2GdsFlow::new(cfg).run_traced().unwrap();
-    let place = span.find("place").expect("place span");
+    let (report, artifacts) = Rtl2GdsFlow::new(cfg).run().unwrap();
+    let place = artifacts.span.find("place").expect("place span");
     let bits = [
         artifacts.seed.placement.inter_hpwl.value().to_bits(),
         place.counter_value("final_hpwl_um").expect("final_hpwl_um"),
