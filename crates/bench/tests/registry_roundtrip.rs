@@ -195,9 +195,10 @@ fn fnv1a(bytes: &[u8]) -> String {
 }
 
 /// The five freshly ported binaries plus the warm-started
-/// `flow_sensitivity` sweep: byte-identical `--json` across worker
-/// counts, straight off the engine executor, and equal to the pinned
-/// digest.
+/// `flow_sensitivity` sweep and the Obs. 10 thermal report (whose
+/// lumped-grid vs eq. 17 agreement the binary asserts in-process):
+/// byte-identical `--json` across worker counts, straight off the
+/// engine executor, and equal to the pinned digest.
 #[test]
 fn ported_binaries_emit_deterministic_json() {
     let dir = std::env::temp_dir().join(format!("m3d-roundtrip-{}", std::process::id()));
@@ -232,6 +233,11 @@ fn ported_binaries_emit_deterministic_json() {
             "flow_sensitivity",
             env!("CARGO_BIN_EXE_flow_sensitivity"),
             "9760943f51e87e9d",
+        ),
+        (
+            "obs10_thermal",
+            env!("CARGO_BIN_EXE_obs10_thermal"),
+            "3e5426c3a2b82d86",
         ),
     ] {
         let a = dir.join(format!("{name}-jobs1.json"));

@@ -11,6 +11,7 @@ use m3d_tech::{RramMacro, SelectorTech, StableHash, StableHasher, TechError, Tie
 
 use crate::error::{NetlistError, NetlistResult};
 use crate::gen::arith::{counter, register};
+use crate::gen::name;
 use crate::gen::systolic::{systolic_cs, CsConfig, CsPorts, EXT_BUS_BITS};
 use crate::netlist::{MacroKind, NetId, Netlist};
 
@@ -136,10 +137,10 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
     let mut rram_recv = Vec::new();
     for b in 0..cfg.rram_banks {
         let port: Vec<NetId> = (0..cfg.rram_port_bits)
-            .map(|i| nl.add_net(format!("rram/bank{b}_rd{i}")))
+            .map(|i| nl.add_net(name!("rram/bank{b}_rd{i}")))
             .collect();
         rram_drives.extend(port.iter().copied());
-        let addr = counter(nl, &format!("rram_if/addr{b}"), tier, 24)?;
+        let addr = counter(nl, &name!("rram_if/addr{b}"), tier, 24)?;
         rram_recv.extend(addr);
         bank_ports.push(port);
     }
@@ -155,7 +156,7 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
     // bottleneck for low-intensity layers.
     let io_in: Vec<NetId> = (0..EXT_BUS_BITS)
         .map(|i| {
-            let n = nl.add_net(format!("io/act_in{i}"));
+            let n = nl.add_net(name!("io/act_in{i}"));
             n
         })
         .collect();
@@ -167,12 +168,12 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
     // --- Computing sub-systems ----------------------------------------
     let mut cs_ports = Vec::with_capacity(cfg.cs_count as usize);
     for i in 0..cfg.cs_count {
-        let ports = systolic_cs(nl, &format!("cs{i}"), tier, cfg.cs, zero)?;
+        let ports = systolic_cs(nl, &name!("cs{i}"), tier, cfg.cs, zero)?;
 
         // Bank interface: capture the bank's read port, then mux the two
         // halves down onto this CS's weight-load buses.
         let bank = &bank_ports[(i % cfg.rram_banks) as usize];
-        let ifreg = register(nl, &format!("cs{i}_if/wreg"), tier, bank)?;
+        let ifreg = register(nl, &name!("cs{i}_if/wreg"), tier, bank)?;
         let wl_bits = cfg.cs.cols * cfg.cs.pe.data_bits;
         let mut flat_targets: Vec<NetId> = Vec::with_capacity(wl_bits);
         for col in &ports.weight_cols {
@@ -182,7 +183,7 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
             let lo = ifreg[j % ifreg.len()];
             let hi = ifreg[(j + wl_bits) % ifreg.len()];
             nl.add_cell(
-                format!("cs{i}_if/wmux{j}"),
+                name!("cs{i}_if/wmux{j}"),
                 CellKind::Mux2,
                 DriveStrength::X2,
                 tier,
@@ -201,7 +202,7 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
         // Bus repeaters driving this CS's external activation port.
         for (j, &target) in ports.ext_act_in.iter().enumerate() {
             nl.add_cell(
-                format!("cs{i}_if/busbuf{j}"),
+                name!("cs{i}_if/busbuf{j}"),
                 CellKind::Buf,
                 DriveStrength::X4,
                 tier,

@@ -7,6 +7,7 @@ use m3d_tech::{SramMacro, StableHash, StableHasher, Tier};
 
 use crate::error::NetlistResult;
 use crate::gen::arith::{counter, register, ripple_carry_adder};
+use crate::gen::name;
 use crate::gen::pe::{mac_pe, PeConfig};
 use crate::netlist::{MacroKind, NetId, Netlist};
 
@@ -105,32 +106,32 @@ pub fn systolic_cs(
     // buffer stages rows for streaming; the output local buffer collects
     // results before they return to the global buffer.
     let ext_act_in: Vec<NetId> = (0..EXT_BUS_BITS)
-        .map(|i| nl.add_net(format!("{prefix}/ext_act{i}")))
+        .map(|i| nl.add_net(name!("{prefix}/ext_act{i}")))
         .collect();
     let gbuf_rd: Vec<NetId> = (0..EXT_BUS_BITS)
-        .map(|i| nl.add_net(format!("{prefix}/gbuf_rd{i}")))
+        .map(|i| nl.add_net(name!("{prefix}/gbuf_rd{i}")))
         .collect();
     // Control counters generate addresses.
-    let addr_a = counter(nl, &format!("{prefix}/ctl/addr_a"), tier, 16)?;
-    let addr_b = counter(nl, &format!("{prefix}/ctl/addr_b"), tier, 16)?;
-    let tile_cnt = counter(nl, &format!("{prefix}/ctl/tile"), tier, 12)?;
+    let addr_a = counter(nl, &name!("{prefix}/ctl/addr_a"), tier, 16)?;
+    let addr_b = counter(nl, &name!("{prefix}/ctl/addr_b"), tier, 16)?;
+    let tile_cnt = counter(nl, &name!("{prefix}/ctl/tile"), tier, 12)?;
 
     let mut gbuf_recv: Vec<NetId> = ext_act_in.clone();
     gbuf_recv.extend(addr_a.iter().copied());
     nl.add_macro(
-        format!("{prefix}/gbuf"),
+        name!("{prefix}/gbuf"),
         MacroKind::Sram(SramMacro::with_capacity_kb(cfg.global_buffer_kb)),
         &gbuf_rd,
         &gbuf_recv,
     )?;
 
     let ibuf_rd: Vec<NetId> = (0..cfg.rows * db)
-        .map(|i| nl.add_net(format!("{prefix}/ibuf_rd{i}")))
+        .map(|i| nl.add_net(name!("{prefix}/ibuf_rd{i}")))
         .collect();
     let mut ibuf_recv: Vec<NetId> = gbuf_rd.clone();
     ibuf_recv.extend(addr_b.iter().copied());
     nl.add_macro(
-        format!("{prefix}/ibuf"),
+        name!("{prefix}/ibuf"),
         MacroKind::Sram(SramMacro::with_capacity_kb(cfg.local_buffer_kb)),
         &ibuf_rd,
         &ibuf_recv,
@@ -142,7 +143,7 @@ pub fn systolic_cs(
     for r in 0..cfg.rows {
         let mut bus: Vec<NetId> = ibuf_rd[r * db..(r + 1) * db].to_vec();
         for s in 0..r {
-            bus = register(nl, &format!("{prefix}/skew_r{r}_s{s}"), tier, &bus)?;
+            bus = register(nl, &name!("{prefix}/skew_r{r}_s{s}"), tier, &bus)?;
         }
         row_act.push(bus);
     }
@@ -151,7 +152,7 @@ pub fn systolic_cs(
     let weight_cols: Vec<Vec<NetId>> = (0..cfg.cols)
         .map(|c| {
             (0..db)
-                .map(|i| nl.add_net(format!("{prefix}/wcol{c}_{i}")))
+                .map(|i| nl.add_net(name!("{prefix}/wcol{c}_{i}")))
                 .collect()
         })
         .collect();
@@ -165,7 +166,7 @@ pub fn systolic_cs(
         for (r, act) in act_bus.iter_mut().enumerate() {
             let out = mac_pe(
                 nl,
-                &format!("{prefix}/pe_r{r}_c{c}"),
+                &name!("{prefix}/pe_r{r}_c{c}"),
                 tier,
                 cfg.pe,
                 act,
@@ -189,16 +190,16 @@ pub fn systolic_cs(
     let mut col_acc: Vec<Vec<NetId>> = Vec::with_capacity(cfg.cols);
     for (c, psum) in col_psum.iter().enumerate() {
         let fb: Vec<NetId> = (0..ab)
-            .map(|i| nl.add_net(format!("{prefix}/accfb{c}_{i}")))
+            .map(|i| nl.add_net(name!("{prefix}/accfb{c}_{i}")))
             .collect();
-        let sum = ripple_carry_adder(nl, &format!("{prefix}/colacc{c}"), tier, psum, &fb, None)?;
+        let sum = ripple_carry_adder(nl, &name!("{prefix}/colacc{c}"), tier, psum, &fb, None)?;
         nl.set_primary_output(sum.cout)?;
-        let q = register(nl, &format!("{prefix}/colreg{c}"), tier, &sum.sum)?;
+        let q = register(nl, &name!("{prefix}/colreg{c}"), tier, &sum.sum)?;
         // Feedback: register output drives the adder's second operand via
         // an AND gate with the clear signal (tile boundary).
         for i in 0..ab {
             nl.add_cell(
-                format!("{prefix}/accclr{c}_{i}"),
+                name!("{prefix}/accclr{c}_{i}"),
                 CellKind::And2,
                 DriveStrength::X1,
                 tier,
@@ -228,9 +229,9 @@ pub fn systolic_cs(
             }
             let mut merged = Vec::with_capacity(pair[0].len());
             for i in 0..pair[0].len() {
-                let y = nl.add_net(format!("{prefix}/omux{stage}_{pair_idx}_{i}"));
+                let y = nl.add_net(name!("{prefix}/omux{stage}_{pair_idx}_{i}"));
                 nl.add_cell(
-                    format!("{prefix}/omuxc{stage}_{pair_idx}_{i}"),
+                    name!("{prefix}/omuxc{stage}_{pair_idx}_{i}"),
                     CellKind::Mux2,
                     DriveStrength::X1,
                     tier,
@@ -252,15 +253,15 @@ pub fn systolic_cs(
         res_d.push(zero);
     }
     res_d.truncate(RESULT_BITS);
-    let result_out = register(nl, &format!("{prefix}/oreg"), tier, &res_d)?;
+    let result_out = register(nl, &name!("{prefix}/oreg"), tier, &res_d)?;
 
     let mut obuf_recv = result_out.clone();
     obuf_recv.extend(addr_b.iter().copied());
     let obuf_rd: Vec<NetId> = (0..RESULT_BITS)
-        .map(|i| nl.add_net(format!("{prefix}/obuf_rd{i}")))
+        .map(|i| nl.add_net(name!("{prefix}/obuf_rd{i}")))
         .collect();
     nl.add_macro(
-        format!("{prefix}/obuf"),
+        name!("{prefix}/obuf"),
         MacroKind::Sram(SramMacro::with_capacity_kb(cfg.local_buffer_kb)),
         &obuf_rd,
         &obuf_recv,

@@ -64,6 +64,80 @@ pub enum Sink {
     PrimaryOutput,
 }
 
+/// Up to `N` pin nets stored inline, in pin order; dereferences to
+/// `[NetId]`. Every library cell has at most [`MAX_INPUTS`] inputs and
+/// [`MAX_OUTPUTS`] outputs, so a cell's pin lists need no heap block of
+/// their own (a flow builds and drops hundreds of thousands of cells).
+/// Serialises as the plain array of its nets.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Pins<const N: usize> {
+    len: u8,
+    // Slots at and past `len` stay `NetId(0)`, so the derived equality
+    // compares exactly the connected pins.
+    nets: [NetId; N],
+}
+
+/// Most input pins of any library cell (AOI21, MUX2, FA).
+pub const MAX_INPUTS: usize = 3;
+
+/// Most output pins of any library cell (HA, FA).
+pub const MAX_OUTPUTS: usize = 2;
+
+impl<const N: usize> Pins<N> {
+    /// Copies `nets` inline; `None` when there are more than `N`.
+    pub fn new(nets: &[NetId]) -> Option<Self> {
+        let mut pins = Self {
+            len: u8::try_from(nets.len()).ok()?,
+            nets: [NetId(0); N],
+        };
+        pins.nets.get_mut(..nets.len())?.copy_from_slice(nets);
+        Some(pins)
+    }
+}
+
+impl<const N: usize> std::ops::Deref for Pins<N> {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..usize::from(self.len)]
+    }
+}
+
+impl<const N: usize> std::ops::DerefMut for Pins<N> {
+    fn deref_mut(&mut self) -> &mut [NetId] {
+        &mut self.nets[..usize::from(self.len)]
+    }
+}
+
+impl<'a, const N: usize> IntoIterator for &'a Pins<N> {
+    type Item = &'a NetId;
+    type IntoIter = std::slice::Iter<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<const N: usize> std::fmt::Debug for Pins<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<const N: usize> Serialize for Pins<N> {
+    fn to_value(&self) -> serde::Value {
+        (**self).to_value()
+    }
+}
+
+impl<const N: usize> Deserialize for Pins<N> {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let nets = Vec::<NetId>::from_value(v)?;
+        Self::new(&nets)
+            .ok_or_else(|| serde::Error(format!("expected at most {N} pins, got {}", nets.len())))
+    }
+}
+
 /// One standard-cell instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellInst {
@@ -76,9 +150,9 @@ pub struct CellInst {
     /// Device tier the instance is bound to.
     pub tier: Tier,
     /// Nets connected to input pins, in pin order.
-    pub inputs: Vec<NetId>,
+    pub inputs: Pins<MAX_INPUTS>,
     /// Nets connected to output pins, in pin order.
-    pub outputs: Vec<NetId>,
+    pub outputs: Pins<MAX_OUTPUTS>,
 }
 
 /// The kind of hard macro instantiated.
@@ -371,7 +445,8 @@ impl Netlist {
     }
 
     /// Adds a cell instance connected to the given input and output nets
-    /// (in pin order), wiring drivers and sinks.
+    /// (in pin order), wiring drivers and sinks. A failed call leaves the
+    /// netlist unchanged.
     ///
     /// # Errors
     ///
@@ -389,50 +464,34 @@ impl Netlist {
         outputs: &[NetId],
     ) -> NetlistResult<CellId> {
         let name = name.into();
-        if inputs.len() != kind.input_count() {
+        let Some(input_pins) = Pins::new(inputs).filter(|_| inputs.len() == kind.input_count())
+        else {
             return Err(NetlistError::PinCountMismatch {
                 instance: name,
                 expected: kind.input_count(),
                 provided: inputs.len(),
                 direction: "input",
             });
-        }
-        if outputs.len() != kind.output_count() {
+        };
+        let Some(output_pins) = Pins::new(outputs).filter(|_| outputs.len() == kind.output_count())
+        else {
             return Err(NetlistError::PinCountMismatch {
                 instance: name,
                 expected: kind.output_count(),
                 provided: outputs.len(),
                 direction: "output",
             });
-        }
+        };
+        self.check_connectable(inputs, outputs)?;
         let id = CellId(self.cells.len() as u32);
         for (pin, &net) in inputs.iter().enumerate() {
-            let n = self
-                .nets
-                .get_mut(net.0 as usize)
-                .ok_or(NetlistError::InvalidId {
-                    kind: "net",
-                    index: net.0 as usize,
-                })?;
-            n.sinks.push(Sink::Cell {
+            self.nets[net.0 as usize].sinks.push(Sink::Cell {
                 cell: id,
                 pin: pin as u8,
             });
         }
         for (pin, &net) in outputs.iter().enumerate() {
-            let n = self
-                .nets
-                .get_mut(net.0 as usize)
-                .ok_or(NetlistError::InvalidId {
-                    kind: "net",
-                    index: net.0 as usize,
-                })?;
-            if n.driver.is_some() {
-                return Err(NetlistError::MultipleDrivers {
-                    net: n.name.clone(),
-                });
-            }
-            n.driver = Some(Driver::Cell {
+            self.nets[net.0 as usize].driver = Some(Driver::Cell {
                 cell: id,
                 pin: pin as u8,
             });
@@ -442,13 +501,14 @@ impl Netlist {
             kind,
             drive,
             tier,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
+            inputs: input_pins,
+            outputs: output_pins,
         });
         Ok(id)
     }
 
-    /// Adds a hard-macro instance with driven and received port nets.
+    /// Adds a hard-macro instance with driven and received port nets. A
+    /// failed call leaves the netlist unchanged.
     ///
     /// # Errors
     ///
@@ -461,31 +521,13 @@ impl Netlist {
         drives: &[NetId],
         receives: &[NetId],
     ) -> NetlistResult<MacroId> {
+        self.check_connectable(receives, drives)?;
         let id = MacroId(self.macros.len() as u32);
         for &net in drives {
-            let n = self
-                .nets
-                .get_mut(net.0 as usize)
-                .ok_or(NetlistError::InvalidId {
-                    kind: "net",
-                    index: net.0 as usize,
-                })?;
-            if n.driver.is_some() {
-                return Err(NetlistError::MultipleDrivers {
-                    net: n.name.clone(),
-                });
-            }
-            n.driver = Some(Driver::Macro { id });
+            self.nets[net.0 as usize].driver = Some(Driver::Macro { id });
         }
         for &net in receives {
-            let n = self
-                .nets
-                .get_mut(net.0 as usize)
-                .ok_or(NetlistError::InvalidId {
-                    kind: "net",
-                    index: net.0 as usize,
-                })?;
-            n.sinks.push(Sink::Macro { id });
+            self.nets[net.0 as usize].sinks.push(Sink::Macro { id });
         }
         self.macros.push(MacroInst {
             name: name.into(),
@@ -494,6 +536,24 @@ impl Netlist {
             receives: receives.to_vec(),
         });
         Ok(id)
+    }
+
+    /// Checks that a new instance may sink `sinks` and drive `drives`:
+    /// every id names a net, and no driven net already has a driver (nor
+    /// appears twice in `drives`).
+    fn check_connectable(&self, sinks: &[NetId], drives: &[NetId]) -> NetlistResult<()> {
+        for &net in sinks {
+            self.net(net)?;
+        }
+        for (i, &net) in drives.iter().enumerate() {
+            let n = self.net(net)?;
+            if n.driver.is_some() || drives[..i].contains(&net) {
+                return Err(NetlistError::MultipleDrivers {
+                    net: n.name.clone(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Moves every sink of `from` onto `to`, updating the input-net
@@ -719,6 +779,64 @@ mod tests {
         );
         assert!(matches!(r, Err(NetlistError::MultipleDrivers { .. })));
         assert!(nl.set_primary_input(y).is_err());
+    }
+
+    #[test]
+    fn failed_adds_leave_the_netlist_unchanged() {
+        let (mut nl, a, b, y) = tiny();
+        let before = nl.clone();
+        let sram = || MacroKind::Sram(m3d_tech::SramMacro::with_capacity_kb(8));
+        // `y` is already driven by `u1`: no sink may be wired on `a` or
+        // `b` for a cell (or macro) that is never added.
+        let r = nl.add_cell(
+            "u2",
+            CellKind::Nand2,
+            DriveStrength::X1,
+            Tier::SiCmos,
+            &[a, b],
+            &[y],
+        );
+        assert!(matches!(r, Err(NetlistError::MultipleDrivers { .. })));
+        let r = nl.add_macro("m0", sram(), &[y], &[a]);
+        assert!(matches!(r, Err(NetlistError::MultipleDrivers { .. })));
+        let r = nl.add_macro("m1", sram(), &[], &[a, NetId(99)]);
+        assert!(matches!(r, Err(NetlistError::InvalidId { .. })));
+        assert_eq!(nl.net(a).unwrap().fanout(), 1);
+        assert!(nl.lint().is_empty(), "{:?}", nl.lint());
+        assert_eq!(nl, before);
+
+        // A fresh net listed twice as an output is a second driver too,
+        // and the first listing must not stick.
+        let z = nl.add_net("z");
+        let r = nl.add_cell(
+            "u3",
+            CellKind::HalfAdder,
+            DriveStrength::X1,
+            Tier::SiCmos,
+            &[a, b],
+            &[z, z],
+        );
+        assert!(matches!(r, Err(NetlistError::MultipleDrivers { .. })));
+        assert!(nl.net(z).unwrap().driver.is_none());
+        assert_eq!(nl.net(b).unwrap().fanout(), 1);
+        assert_eq!(nl.cell_count(), 1);
+    }
+
+    #[test]
+    fn pins_are_inline_slices() {
+        let p = Pins::<3>::new(&[NetId(4), NetId(7)]).unwrap();
+        assert_eq!(&*p, &[NetId(4), NetId(7)]);
+        assert_eq!(format!("{p:?}"), format!("{:?}", vec![NetId(4), NetId(7)]));
+        assert!(Pins::<2>::new(&[NetId(1); 3]).is_none());
+        for kind in CellKind::ALL {
+            assert!(kind.input_count() <= MAX_INPUTS, "{kind:?}");
+            assert!(kind.output_count() <= MAX_OUTPUTS, "{kind:?}");
+        }
+        use serde::{Deserialize as _, Serialize as _};
+        let v = p.to_value();
+        assert_eq!(v, vec![NetId(4), NetId(7)].to_value());
+        assert_eq!(Pins::<3>::from_value(&v).unwrap(), p);
+        assert!(Pins::<1>::from_value(&v).is_err());
     }
 
     #[test]

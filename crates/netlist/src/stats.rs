@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use m3d_tech::stdcell::CellKind;
 use m3d_tech::units::SquareMicrons;
-use m3d_tech::{Pdk, TechResult};
+use m3d_tech::{Pdk, TechResult, Tier};
 
 use crate::netlist::{MacroKind, Netlist};
 
@@ -42,22 +42,22 @@ impl NetlistStats {
     /// Returns an error when the netlist uses a tier or cell the PDK does
     /// not provide (e.g. CNFET cells under the 2D placement blockage).
     pub fn compute(netlist: &Netlist, pdk: &Pdk) -> TechResult<Self> {
-        let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
-        let mut by_tier: BTreeMap<String, usize> = BTreeMap::new();
-        let mut area_by_tier: BTreeMap<String, SquareMicrons> = BTreeMap::new();
+        // Count into arrays indexed like `CellKind::ALL` / `Tier::ALL`
+        // (declaration order) and name the map keys once at the end, so
+        // no cell allocates. Each tier's area sums its cells in netlist
+        // order: the float sums behind `total_cell_area` depend on it.
+        let mut by_kind = [0usize; CellKind::ALL.len()];
+        let mut by_tier = [0usize; Tier::ALL.len()];
+        let mut area_by_tier = [SquareMicrons::ZERO; Tier::ALL.len()];
         let mut sequential = 0usize;
         for c in netlist.cells() {
-            *by_kind.entry(c.kind.base_name().to_owned()).or_default() += 1;
-            *by_tier.entry(c.tier.name().to_owned()).or_default() += 1;
+            by_kind[c.kind as usize] += 1;
+            by_tier[c.tier as usize] += 1;
             if c.kind.is_sequential() {
                 sequential += 1;
             }
             let lib = pdk.library(c.tier)?;
-            let cell = lib.cell(c.kind, c.drive)?;
-            let e = area_by_tier
-                .entry(c.tier.name().to_owned())
-                .or_insert(SquareMicrons::ZERO);
-            *e += cell.area;
+            area_by_tier[c.tier as usize] += lib.cell(c.kind, c.drive)?.area;
         }
         let mut macro_area = SquareMicrons::ZERO;
         for m in netlist.macros() {
@@ -67,22 +67,44 @@ impl NetlistStats {
                 MacroKind::BlackBox { area, .. } => *area,
             };
         }
-        let fanouts: Vec<usize> = netlist.nets().iter().map(|n| n.fanout()).collect();
-        let avg_fanout = if fanouts.is_empty() {
+        let mut total_fanout = 0usize;
+        let mut max_fanout = 0usize;
+        for n in netlist.nets() {
+            total_fanout += n.fanout();
+            max_fanout = max_fanout.max(n.fanout());
+        }
+        let avg_fanout = if netlist.net_count() == 0 {
             0.0
         } else {
-            fanouts.iter().sum::<usize>() as f64 / fanouts.len() as f64
+            total_fanout as f64 / netlist.net_count() as f64
+        };
+        // Only kinds and tiers that occur get a map entry.
+        let tiers = || {
+            Tier::ALL
+                .into_iter()
+                .zip(by_tier)
+                .zip(area_by_tier)
+                .filter(|((_, n), _)| *n > 0)
         };
         Ok(Self {
             cell_count: netlist.cell_count(),
             sequential_count: sequential,
-            by_kind,
-            by_tier,
-            cell_area_by_tier: area_by_tier,
+            by_kind: CellKind::ALL
+                .into_iter()
+                .zip(by_kind)
+                .filter(|(_, n)| *n > 0)
+                .map(|(k, n)| (k.base_name().to_owned(), n))
+                .collect(),
+            by_tier: tiers()
+                .map(|((t, n), _)| (t.name().to_owned(), n))
+                .collect(),
+            cell_area_by_tier: tiers()
+                .map(|((t, _), area)| (t.name().to_owned(), area))
+                .collect(),
             macro_area,
             net_count: netlist.net_count(),
             avg_fanout,
-            max_fanout: fanouts.into_iter().max().unwrap_or(0),
+            max_fanout,
         })
     }
 
@@ -132,6 +154,16 @@ mod tests {
         assert!(s.macro_area.as_mm2() > 50.0, "64 MB RRAM dominates");
         assert!(s.avg_fanout >= 1.0);
         assert!(s.max_fanout >= 1);
+    }
+
+    #[test]
+    fn all_lists_follow_declaration_order() {
+        for (i, kind) in CellKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+        for (i, tier) in Tier::ALL.into_iter().enumerate() {
+            assert_eq!(tier as usize, i, "{tier:?}");
+        }
     }
 
     #[test]

@@ -112,15 +112,16 @@ impl Clustering {
             cells: Vec::new(),
             area: SquareMicrons::ZERO,
         }];
-        let mut by_prefix: HashMap<String, u32> = HashMap::new();
+        // Keys borrow the cells' names: only a new cluster allocates.
+        let mut by_prefix: HashMap<&str, u32> = HashMap::new();
 
         // --- Group cells by hierarchy prefix ---------------------------
         let mut cell_cluster = vec![0u32; netlist.cell_count()];
         for (i, cell) in netlist.cells().iter().enumerate() {
-            let key = prefix_of(&cell.name, CLUSTER_DEPTH).to_owned();
-            let idx = *by_prefix.entry(key.clone()).or_insert_with(|| {
+            let key = prefix_of(&cell.name, CLUSTER_DEPTH);
+            let idx = *by_prefix.entry(key).or_insert_with(|| {
                 clusters.push(Cluster {
-                    name: key,
+                    name: key.to_owned(),
                     kind: ClusterKind::Logic,
                     cells: Vec::new(),
                     area: SquareMicrons::ZERO,

@@ -8,8 +8,6 @@ use m3d_tech::stdcell::{CellKind, DriveStrength};
 use m3d_tech::units::Megahertz;
 use m3d_tech::{Pdk, SpanNode, Tier};
 
-use std::collections::HashSet;
-
 use crate::error::PdResult;
 use crate::geom::Point;
 use crate::observe::round_counter;
@@ -163,7 +161,6 @@ pub fn post_route_optimize(
         // against the placement/netlist delta, bit-identical to a full
         // re-route.
         let mut dirty: Vec<usize> = Vec::new();
-        let mut upsized_cells: HashSet<u32> = HashSet::new();
 
         // --- Pass 1: upsize weak drivers of heavily loaded nets ---------
         let mut to_upsize: Vec<u32> = Vec::new();
@@ -190,22 +187,14 @@ pub fn post_route_optimize(
             };
             let lib = pdk.library(tier)?;
             if let Some(up) = lib.upsize(lib.cell(kind, drive)?) {
-                netlist.cell_mut(m3d_netlist::CellId(ci))?.drive = up.drive;
+                let cell = netlist.cell_mut(m3d_netlist::CellId(ci))?;
+                cell.drive = up.drive;
+                // A stronger drive variant presents a larger input pin,
+                // so every net the cell sinks carries a stale pin
+                // capacitance.
+                dirty.extend(cell.inputs.iter().map(|n| n.0 as usize));
                 upsized += 1;
                 changed = true;
-                upsized_cells.insert(ci);
-            }
-        }
-        if !upsized_cells.is_empty() {
-            // A stronger drive variant presents a larger input pin, so
-            // every net with an upsized cell among its sinks carries a
-            // stale pin capacitance.
-            for (ni, net) in netlist.nets().iter().enumerate() {
-                if net.sinks.iter().any(
-                    |s| matches!(*s, Sink::Cell { cell, .. } if upsized_cells.contains(&cell.0)),
-                ) {
-                    dirty.push(ni);
-                }
             }
         }
 

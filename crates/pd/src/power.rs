@@ -157,6 +157,19 @@ impl PowerReport {
     }
 }
 
+/// The CS a cell or macro belongs to: its leading `cs<digit>…` hierarchy
+/// segment without any `_if` suffix (`cs3/pe_r0_c1/…` and `cs3_if/…`
+/// both give `cs3`); `None` outside the CSs.
+fn cs_key(name: &str) -> Option<&str> {
+    let first = name.split('/').next()?;
+    (first.starts_with("cs")
+        && first[2..]
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_digit()))
+    .then(|| first.trim_end_matches("_if"))
+}
+
 /// Runs power analysis on a placed-and-routed design at `clock`.
 ///
 /// # Errors
@@ -216,14 +229,19 @@ pub fn analyze_power(
     let mut cell_leak = 0.0f64;
     let mut clock_mw = 0.0f64;
     let mut per_cs_power: std::collections::BTreeMap<String, f64> = Default::default();
-    let cs_key = |name: &str| -> Option<String> {
-        let first = name.split('/').next()?;
-        (first.starts_with("cs")
-            && first[2..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_digit()))
-        .then(|| first.trim_end_matches("_if").to_owned())
+    // Credits `p` to the CS that owns `name`, if any. A key is allocated
+    // only the first time its CS appears, and its total starts at
+    // `0.0 + p` (not `p`, so that a `-0.0` credit still starts at `+0.0`).
+    let mut credit_cs = |name: &str, p: f64| {
+        let Some(key) = cs_key(name) else {
+            return;
+        };
+        match per_cs_power.get_mut(key) {
+            Some(total) => *total += p,
+            None => {
+                per_cs_power.insert(key.to_owned(), 0.0 + p);
+            }
+        }
     };
     for (ci, cell) in netlist.cells().iter().enumerate() {
         let lib = pdk.library(cell.tier)?;
@@ -247,9 +265,7 @@ pub fn analyze_power(
         }
         let pos = placement.cell_pos[ci];
         deposit(pos.x.value(), pos.y.value(), p_cell, &mut si_grid);
-        if let Some(key) = cs_key(&cell.name) {
-            *per_cs_power.entry(key).or_default() += p_cell;
-        }
+        credit_cs(&cell.name, p_cell);
     }
 
     // --- Macros --------------------------------------------------------------
@@ -272,9 +288,7 @@ pub fn analyze_power(
                     pos.y.value() + half,
                 );
                 spread(&r, p, &mut si_grid);
-                if let Some(key) = cs_key(&m.name) {
-                    *per_cs_power.entry(key).or_default() += p;
-                }
+                credit_cs(&m.name, p);
             }
             MacroKind::Rram(r) => {
                 let bits_per_cycle = r.total_bandwidth_bits_per_cycle();

@@ -109,45 +109,50 @@ impl<'a> NetRouter<'a> {
         let mut bb = BoundingBox::new();
         let mut pins = 0usize;
         let mut pin_cap = Femtofarads::ZERO;
-        let mut tiers: Vec<Tier> = Vec::with_capacity(4);
+        // Tier crossings need one ILV each: every pin off the first pin's
+        // tier counts one, tallied as the pins stream past.
+        let mut base_tier: Option<Tier> = None;
+        let mut crossings = 0u32;
+        let mut on_tier = |t: Tier| match base_tier {
+            None => base_tier = Some(t),
+            Some(base) => crossings += u32::from(t != base),
+        };
 
         match net.driver {
             Some(Driver::Cell { cell, .. }) => {
                 bb.include(self.placement.cell_pos[cell.0 as usize]);
-                let c = &self.netlist.cells()[cell.0 as usize];
-                tiers.push(c.tier);
+                on_tier(self.netlist.cells()[cell.0 as usize].tier);
                 pins += 1;
             }
             Some(Driver::Macro { id }) => {
                 bb.include(self.placement.macro_pos[id.0 as usize]);
-                tiers.push(pin_tier(self.netlist, self.pdk, Some(id.0 as usize)));
+                on_tier(pin_tier(self.netlist, self.pdk, Some(id.0 as usize)));
                 pins += 1;
             }
             Some(Driver::PrimaryInput) => {
                 bb.include(self.io_point);
-                tiers.push(Tier::SiCmos);
+                on_tier(Tier::SiCmos);
                 pins += 1;
             }
             None => {}
         }
         for s in &net.sinks {
             match *s {
-                Sink::Cell { cell, pin } => {
+                Sink::Cell { cell, .. } => {
                     bb.include(self.placement.cell_pos[cell.0 as usize]);
                     let c = &self.netlist.cells()[cell.0 as usize];
-                    tiers.push(c.tier);
+                    on_tier(c.tier);
                     let lib = self.pdk.library(c.tier)?;
                     pin_cap += lib.cell(c.kind, c.drive)?.input_cap;
-                    let _ = pin;
                 }
                 Sink::Macro { id } => {
                     bb.include(self.placement.macro_pos[id.0 as usize]);
-                    tiers.push(pin_tier(self.netlist, self.pdk, Some(id.0 as usize)));
+                    on_tier(pin_tier(self.netlist, self.pdk, Some(id.0 as usize)));
                     pin_cap += Femtofarads::new(5.0);
                 }
                 Sink::PrimaryOutput => {
                     bb.include(self.io_point);
-                    tiers.push(Tier::SiCmos);
+                    on_tier(Tier::SiCmos);
                     pin_cap += Femtofarads::new(10.0);
                 }
             }
@@ -161,9 +166,6 @@ impl<'a> NetRouter<'a> {
             (0.5 * (pins as f64).sqrt()).max(1.0)
         };
         let length = Microns::new(bb.hpwl().value() * steiner * self.detour);
-        // Tier crossings need one ILV each.
-        let base_tier = tiers.first().copied().unwrap_or(Tier::SiCmos);
-        let crossings = tiers.iter().filter(|&&t| t != base_tier).count() as u32;
 
         Ok(RoutedNet {
             length,

@@ -140,7 +140,6 @@ pub fn analyze_timing(
     for (ci, cell) in netlist.cells().iter().enumerate() {
         if cell.kind.is_sequential() {
             ready.push(ci as u32);
-            let _ = ci;
         }
     }
 
@@ -246,7 +245,7 @@ pub fn analyze_timing(
             top.truncate(TOP_K);
         }
     };
-    for (ci, cell) in netlist.cells().iter().enumerate() {
+    for cell in netlist.cells() {
         if cell.kind.is_sequential() {
             let lib = pdk.library(cell.tier)?;
             let setup = lib
@@ -266,7 +265,6 @@ pub fn analyze_timing(
                 );
             }
         }
-        let _ = ci;
     }
     for m in netlist.macros() {
         for n in &m.receives {

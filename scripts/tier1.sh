@@ -19,19 +19,8 @@ cargo fmt --check
 cargo build --release -p m3d-thermal
 cargo test -q -p m3d-thermal
 
-# Determinism gate: the Obs. 10 JSON artifact must be byte-identical
-# across runs and across worker counts (the report deliberately excludes
-# wall-clock and job-count fields). The disk cache is detached so both
-# runs compute from scratch with identical cache tallies.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-env -u M3D_CACHE_DIR M3D_JOBS=1 ./target/release/obs10_thermal --quick --json "$tmp/a.json" >/dev/null 2>&1
-env -u M3D_CACHE_DIR M3D_JOBS=7 ./target/release/obs10_thermal --quick --json "$tmp/b.json" >/dev/null 2>&1
-if ! cmp -s "$tmp/a.json" "$tmp/b.json"; then
-    echo "tier1: FAIL — obs10_thermal --json differs across M3D_JOBS" >&2
-    diff "$tmp/a.json" "$tmp/b.json" >&2 || true
-    exit 1
-fi
 
 # Trace gate: --trace-json must emit a non-empty span tree that covers
 # the pipeline stages with cache provenance, byte-identical across
@@ -65,39 +54,6 @@ done
 if grep -Evq '^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* ?.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]*"\})? [0-9]+)$' "$tmp/metrics.prom"; then
     echo "tier1: FAIL — table1_resnet18 --metrics-text has malformed lines:" >&2
     grep -Ev '^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* ?.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]*"\})? [0-9]+)$' "$tmp/metrics.prom" >&2
-    exit 1
-fi
-
-# Pd-flow sub-span gate: the fig2 trace must expose the flow internals
-# (placement/opt/CTS/STA child spans with integer counters),
-# byte-identical across worker counts.
-env -u M3D_CACHE_DIR M3D_JOBS=1 ./target/release/fig2_physical_design --quick --trace-json "$tmp/fig2-a.json" >/dev/null 2>&1
-env -u M3D_CACHE_DIR M3D_JOBS=4 ./target/release/fig2_physical_design --quick --trace-json "$tmp/fig2-b.json" >/dev/null 2>&1
-for span in '"place"' '"cts"' '"sta"' '"counters"' '"signal_ilvs"'; do
-    if ! grep -q "$span" "$tmp/fig2-a.json"; then
-        echo "tier1: FAIL — fig2 trace is missing the $span sub-span data" >&2
-        exit 1
-    fi
-done
-if ! cmp -s "$tmp/fig2-a.json" "$tmp/fig2-b.json"; then
-    echo "tier1: FAIL — fig2_physical_design --trace-json differs across M3D_JOBS" >&2
-    diff "$tmp/fig2-a.json" "$tmp/fig2-b.json" >&2 || true
-    exit 1
-fi
-
-# Corner-sweep gate: the multi-corner sign-off must carry one child span
-# per corner with provenance, byte-identical across worker counts.
-env -u M3D_CACHE_DIR M3D_JOBS=1 ./target/release/corners_signoff --quick --trace-json "$tmp/corners-a.json" >/dev/null 2>&1
-env -u M3D_CACHE_DIR M3D_JOBS=2 ./target/release/corners_signoff --quick --trace-json "$tmp/corners-b.json" >/dev/null 2>&1
-for span in '"corner:ss"' '"corner:tt"' '"corner:ff"' '"provenance"'; do
-    if ! grep -q "$span" "$tmp/corners-a.json"; then
-        echo "tier1: FAIL — corners_signoff trace is missing $span" >&2
-        exit 1
-    fi
-done
-if ! cmp -s "$tmp/corners-a.json" "$tmp/corners-b.json"; then
-    echo "tier1: FAIL — corners_signoff --trace-json differs across M3D_JOBS" >&2
-    diff "$tmp/corners-a.json" "$tmp/corners-b.json" >&2 || true
     exit 1
 fi
 

@@ -1,11 +1,13 @@
 //! Bit-level golden values for the small-CS iso-footprint flow pair.
 //!
 //! Pins, by `f64::to_bits`, the inter-cluster HPWL of the placement, the
-//! `place` span's final HPWL counter, and the routed wirelength, critical
-//! path and total power of the report, for the 2D baseline and the
-//! iso-footprint M3D(2) flow at quick and at default placer effort. Any
-//! change to the annealer, the cell library lookup or the downstream
-//! phases that moves a single bit of these results fails here.
+//! `place` span's final HPWL counter, the `clustering` span's cluster and
+//! net counts, and the routed wirelength, critical path, total power,
+//! cell area, signal ILVs, hottest-CS power and peak power density of the
+//! report, for the 2D baseline and the iso-footprint M3D(2) flow at quick
+//! and at default placer effort. Any change to the annealer, the cell
+//! library lookup or the downstream phases that moves a single bit of
+//! these results fails here.
 
 use m3d::netlist::{CsConfig, PeConfig};
 use m3d::pd::{FlowConfig, Rtl2GdsFlow};
@@ -21,19 +23,29 @@ fn small_cs() -> CsConfig {
 }
 
 /// `[inter_hpwl, final_hpwl_um, wirelength_m, critical_path_ns,
-/// total_power_mw]`; `final_hpwl_um` is an integer span counter, the
-/// rest are `f64` bit patterns.
-type Bits = [u64; 5];
+/// total_power_mw, cell_area_mm2, signal_ilvs, hottest_cs_power_mw,
+/// peak_density_mw_per_mm2, clusters, cluster_nets]`; `final_hpwl_um`,
+/// `clusters` and `cluster_nets` are integer span counters and
+/// `signal_ilvs` is an integer report field, the rest are `f64` bit
+/// patterns.
+type Bits = [u64; 11];
 
 fn measure(cfg: FlowConfig) -> (Bits, m3d::pd::Rect) {
     let (report, artifacts) = Rtl2GdsFlow::new(cfg).run().unwrap();
     let place = artifacts.span.find("place").expect("place span");
+    let clustering = artifacts.span.find("clustering").expect("clustering span");
     let bits = [
         artifacts.seed.placement.inter_hpwl.value().to_bits(),
         place.counter_value("final_hpwl_um").expect("final_hpwl_um"),
         report.wirelength_m.to_bits(),
         report.critical_path_ns.to_bits(),
         report.total_power_mw.to_bits(),
+        report.cell_area_mm2.to_bits(),
+        report.signal_ilvs,
+        report.hottest_cs_power_mw.to_bits(),
+        report.peak_density_mw_per_mm2.to_bits(),
+        clustering.counter_value("clusters").expect("clusters"),
+        clustering.counter_value("nets").expect("nets"),
     ];
     (bits, report.die)
 }
@@ -56,6 +68,12 @@ fn quick_effort_flow_pair_is_bit_identical() {
             4612388133129986742,
             4626354225066334395,
             4614513963726151356,
+            4590219143051742697,
+            0,
+            4608184236475359301,
+            4604171918002208823,
+            43,
+            2108,
         ],
         [
             4707216031813281706,
@@ -63,6 +81,12 @@ fn quick_effort_flow_pair_is_bit_identical() {
             4619359524059453711,
             4626383385975154880,
             4620452465221306908,
+            4596255025977754047,
+            560,
+            4609236307814496320,
+            4609146716581170495,
+            82,
+            3957,
         ],
     );
 }
@@ -77,6 +101,12 @@ fn default_effort_flow_pair_is_bit_identical() {
             4610849454659756924,
             4626355819217280170,
             4613602761405080302,
+            4589828333159337129,
+            0,
+            4607416646555471189,
+            4604130054177434678,
+            43,
+            2108,
         ],
         [
             4705537826959708212,
@@ -84,6 +114,12 @@ fn default_effort_flow_pair_is_bit_identical() {
             4617663370544090340,
             4626356320229712702,
             4619119724895079264,
+            4595010078369442156,
+            560,
+            4608385718577495429,
+            4608253366052575519,
+            82,
+            3957,
         ],
     );
 }
