@@ -286,8 +286,12 @@ impl Case for CornersSignoffCase {
 /// showcase: after the first point anneals, every later point re-seeds
 /// from it and re-evaluates route/STA/power incrementally. Warm and
 /// cold runs are byte-identical by construction, so the payload and
-/// trace do not depend on `M3D_JOBS` or on which seeds were available —
-/// `scripts/tier1.sh` gates on exactly that.
+/// trace do not depend on `M3D_JOBS` or on which seeds were available.
+/// `ported_binaries_emit_deterministic_json` and
+/// `flow_sensitivity_warm_starts_from_the_disk_seed_byte_identically`
+/// (`tests/registry_roundtrip.rs`) and
+/// `fig2_trace_exposes_pd_sub_spans_and_ignores_job_count`
+/// (`tests/fig2_trace.rs`) gate on exactly that.
 pub struct FlowSensitivityCase;
 
 /// Typed parameters of [`FlowSensitivityCase`].

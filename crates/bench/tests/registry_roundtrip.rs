@@ -2,11 +2,14 @@
 //! experiment validates its params schema the same way on the CLI and
 //! the wire, and the freshly engine-ported binaries produce
 //! byte-identical `--json` artifacts at any `M3D_JOBS` value, equal to
-//! their pinned FNV-1a digests.
+//! their pinned FNV-1a digests — also when `flow_sensitivity`
+//! warm-starts from a prewarmed disk cache.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Stdio};
 
 use m3d_bench::registry::registry;
+use m3d_core::engine::store::STORE_VERSION;
 use m3d_tech::StableHasher;
 use serde::Value;
 
@@ -173,7 +176,7 @@ fn param_fields_carry_names_and_defaults() {
     }
 }
 
-fn run_json(exe: &str, jobs: &str, path: &std::path::Path) {
+fn run_json(exe: &str, jobs: &str, path: &Path) {
     let status = Command::new(exe)
         .args(["--quick", "--json"])
         .arg(path)
@@ -181,8 +184,8 @@ fn run_json(exe: &str, jobs: &str, path: &std::path::Path) {
         // A shared disk cache would flip provenance between runs; keep
         // every run computing from scratch.
         .env_remove("M3D_CACHE_DIR")
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
         .status()
         .expect("binary runs");
     assert!(status.success(), "{exe} --quick failed (M3D_JOBS={jobs})");
@@ -250,5 +253,63 @@ fn ported_binaries_emit_deterministic_json() {
         assert!(!one.is_empty(), "{name} report must not be empty");
         assert_eq!(fnv1a(&one), digest, "{name} --json bytes moved");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The disk-tier warm gate: a fresh `M3D_CACHE_DIR` prewarmed with a
+/// shifted activity grid (same placement key, no exact-key hits) leaves
+/// one seed file, every default-grid point then warm-starts from it,
+/// and the `--json` still equals the pinned cold digest above.
+#[test]
+fn flow_sensitivity_warm_starts_from_the_disk_seed_byte_identically() {
+    let dir = std::env::temp_dir().join(format!("m3d-warm-disk-{}", std::process::id()));
+    let cache = dir.join("cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&cache).expect("temp dir");
+    let json = dir.join("sens-warm.json");
+    let prom = dir.join("sens-warm.prom");
+    let run = |args: &[&std::ffi::OsStr]| {
+        let status = Command::new(env!("CARGO_BIN_EXE_flow_sensitivity"))
+            .arg("--quick")
+            .args(args)
+            .env("M3D_CACHE_DIR", &cache)
+            .env("M3D_JOBS", "1")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("binary runs");
+        assert!(status.success(), "flow_sensitivity {args:?} failed");
+    };
+    run(&["--set".as_ref(), "activity_lo_pct=12".as_ref()]);
+    run(&[
+        "--json".as_ref(),
+        json.as_os_str(),
+        "--metrics-text".as_ref(),
+        prom.as_os_str(),
+    ]);
+
+    let payload = std::fs::read(&json).expect("report written");
+    assert_eq!(fnv1a(&payload), "9760943f51e87e9d", "warm --json != cold");
+    let metrics = std::fs::read_to_string(&prom).expect("metrics written");
+    let warm_runs: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("pd_flow_warm_runs "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    assert!(warm_runs >= 1, "never warm-started:\n{metrics}");
+
+    let names: Vec<String> = std::fs::read_dir(&cache)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    let count = |prefix: &str| {
+        names
+            .iter()
+            .filter(|n| n.starts_with(prefix) && n.ends_with(".json"))
+            .count()
+    };
+    assert_eq!(count(&format!("flow-v{STORE_VERSION}-")), 6, "{names:?}");
+    assert_eq!(count(&format!("place-v{STORE_VERSION}-")), 1, "{names:?}");
+    assert_eq!(names.len(), 7, "nothing else is written: {names:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

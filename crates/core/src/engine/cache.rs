@@ -20,26 +20,23 @@
 //!
 //! With an artifact directory configured ([`FlowCache::with_disk_dir`],
 //! or [`FlowCache::persistent`] reading the `M3D_CACHE_DIR` environment
-//! variable), every computed flow is written through an
-//! [`ArtifactStore`] as a versioned envelope: the report plus the full
-//! physical state a warm start needs (pre-optimisation placement seed,
-//! routing, STA, clock tree, power). Report-level lookups are satisfied
-//! from disk before falling back to running the flow; the vendored JSON
-//! encoder prints floats in shortest-round-trip form, so a report read
-//! back from disk is bit-identical to the one that was written. Corrupt
-//! or unreadable files are treated as misses and overwritten.
+//! variable), every computed flow writes its report through the
+//! [`DiskStore`], and every cold run also writes its placement seed
+//! there under its [`FlowConfig::placement_key`]. Report-level lookups
+//! are satisfied from disk before falling back to running the flow; the
+//! vendored JSON encoder prints floats in shortest-round-trip form, so a
+//! report read back from disk is bit-identical to the one that was
+//! written. Corrupt or unreadable files are treated as misses and
+//! overwritten.
 //!
-//! When a configuration misses every exact tier, the cache looks for a
-//! **warm-start seed**: the nearest cached neighbour (in-memory seed
-//! index first, then the disk store's sidecar metadata) sharing the
-//! configuration's [`FlowConfig::placement_key`], ranked by the typed
-//! [`m3d_pd::ParamPoint::distance`] over the sweep lattice, exact-key
-//! hits excluded. Equal placement keys provably reproduce the same
-//! pre-optimisation placement, so the seeded run replays the
-//! neighbour's placement and spans verbatim and re-runs only the
-//! post-placement phases — byte-identical `--json`/`--trace-json`
-//! output, a fraction of the wall-clock. Invalid or corrupt seeds fall
-//! back to a cold run, never an error.
+//! When a configuration misses every exact tier, the flow runs
+//! **warm** if a seed exists for its placement key: the first seed this
+//! process computed under that key, else the disk store's seed file.
+//! Equal placement keys provably reproduce the same pre-optimisation
+//! placement, so the seeded run replays the seed's placement and spans
+//! verbatim and re-runs only the post-placement phases — byte-identical
+//! `--json`/`--trace-json` output, a fraction of the wall-clock. Invalid
+//! or corrupt seeds fall back to a cold run, never an error.
 
 use std::collections::HashMap;
 use std::fs;
@@ -51,9 +48,7 @@ use m3d_pd::{FlowArtifacts, FlowConfig, FlowReport, PlacementSeed, Rtl2GdsFlow};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::inflight::{Flight, InFlight};
-use crate::engine::store::{
-    nearest_neighbour, ArtifactStore, DiskStore, NeighbourMeta, StoredEnvelope, STORE_VERSION,
-};
+use crate::engine::store::{DiskStore, StoredEnvelope, STORE_VERSION};
 use crate::error::CoreResult;
 use crate::obs::{Provenance, Recorder, SpanNode};
 
@@ -78,32 +73,14 @@ pub struct CacheStats {
     pub disk_hits: u64,
 }
 
-/// What a [`FlowCache::fetch`] should produce and which tiers it may
-/// use. The default is a report-level, coalescing, warm-enabled lookup
-/// — the cheapest correct thing for sweep points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a [`FlowCache::fetch`] should produce. The default is a
+/// report-level lookup — the cheapest correct thing for sweep points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FetchOpts {
     /// Return the full in-memory `(FlowReport, FlowArtifacts)` pair
     /// (forces the flow to exist in this process's memory, running it
     /// — warm when possible — if only the report tier has it).
     pub artifacts: bool,
-    /// Single-flight: concurrent fetches of the same uncached key run
-    /// one flow and share it.
-    pub coalesce: bool,
-    /// Allow warm-starting a computed run from the nearest cached
-    /// neighbour's placement seed. Disable to force cold computes
-    /// (determinism gates compare the two).
-    pub warm: bool,
-}
-
-impl Default for FetchOpts {
-    fn default() -> Self {
-        Self {
-            artifacts: false,
-            coalesce: true,
-            warm: true,
-        }
-    }
 }
 
 impl FetchOpts {
@@ -115,22 +92,7 @@ impl FetchOpts {
     /// Artifact-level lookup: the fetch carries the full
     /// `(FlowReport, FlowArtifacts)` pair.
     pub fn artifacts() -> Self {
-        Self {
-            artifacts: true,
-            ..Self::default()
-        }
-    }
-
-    /// Disables warm-starting (a computed run anneals from scratch).
-    pub fn cold(mut self) -> Self {
-        self.warm = false;
-        self
-    }
-
-    /// Disables single-flight coalescing for this lookup.
-    pub fn uncoalesced(mut self) -> Self {
-        self.coalesce = false;
-        self
+        Self { artifacts: true }
     }
 }
 
@@ -155,8 +117,9 @@ pub struct FlowFetch {
     /// This caller joined another caller's in-flight run of the same
     /// configuration instead of starting its own.
     pub coalesced: bool,
-    /// The flow ran, warm-started from a neighbour's placement seed.
-    /// Byte-identical to a cold run; only wall-clock differs.
+    /// The flow ran, warm-started from the placement seed stored under
+    /// its placement key. Byte-identical to a cold run; only wall-clock
+    /// differs.
     pub warm: bool,
 }
 
@@ -198,20 +161,17 @@ struct Entry {
 ///
 /// Thread-safe: the internal maps are mutex-guarded, but no lock is
 /// held while a flow runs, so parallel sweep workers never serialise on
-/// it. Two workers racing on the same uncached key may both compute it
-/// (unless they opt into coalescing); the flow is deterministic, so the
-/// duplicated work is harmless and the first-completed result simply
-/// sticks.
+/// it. Concurrent fetches of one uncached key coalesce onto a single
+/// run; the flow is deterministic, so whichever result lands first
+/// simply sticks.
 #[derive(Debug, Default)]
 pub struct FlowCache {
     entries: Mutex<HashMap<u64, Entry>>,
-    /// Warm-start seed index: placement key → the key and lattice point
-    /// of every flow computed in this process. The seed itself is read
-    /// from that key's entry.
-    seeds: Mutex<HashMap<u64, Vec<NeighbourMeta>>>,
+    /// Warm-start seeds: placement key → the first seed computed under
+    /// it in this process (every seed under one key is byte-identical).
+    seeds: Mutex<HashMap<u64, Arc<PlacementSeed>>>,
     inflight: InFlight<FlowFetch>,
-    store: Option<Box<dyn ArtifactStore>>,
-    disk_dir: Option<PathBuf>,
+    store: Option<DiskStore>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -252,17 +212,7 @@ impl FlowCache {
             return Self::new();
         }
         Self {
-            store: Some(Box::new(DiskStore::new(&dir))),
-            disk_dir: Some(dir),
-            ..Self::default()
-        }
-    }
-
-    /// An in-memory cache over an explicit [`ArtifactStore`]
-    /// implementation (tests, or fleets with a non-filesystem tier).
-    pub fn with_store(store: Box<dyn ArtifactStore>) -> Self {
-        Self {
-            store: Some(store),
+            store: Some(DiskStore::new(dir)),
             ..Self::default()
         }
     }
@@ -281,15 +231,14 @@ impl FlowCache {
     /// The on-disk store directory, if a filesystem-backed tier is
     /// active.
     pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
+        self.store.as_ref().map(DiskStore::dir)
     }
 
     /// Fetches the flow for `cfg` — the one entry point every caller
     /// (engine stages, experiment cases, the service) goes through.
-    /// Tiers, in order: in-memory memo, on-disk artifact store,
-    /// single-flight join, then a flow run (warm-started from the
-    /// nearest cached neighbour when [`FetchOpts::warm`] allows and a
-    /// valid seed exists, cold otherwise).
+    /// Tiers, in order: in-memory memo, single-flight join, on-disk
+    /// artifact store, then a flow run (warm-started when a valid seed
+    /// exists for the configuration's placement key, cold otherwise).
     ///
     /// # Errors
     ///
@@ -299,19 +248,16 @@ impl FlowCache {
         if let Some(hit) = self.memory_fetch(key, opts.artifacts) {
             return Ok(hit);
         }
-        if !opts.coalesce {
-            return self.fetch_uncoalesced(cfg, key, opts);
-        }
         let (value, flight) = self
             .inflight
-            .run(key, None, || self.fetch_uncoalesced(cfg, key, opts))?;
+            .run(key, None, || self.lookup(cfg, key, opts))?;
         let fetch = value.expect("no deadline, so never TimedOut");
         if flight == Flight::Joined {
             if opts.artifacts && fetch.artifacts.is_none() {
                 // The leader ran a report-level lookup; satisfy the
                 // artifact request ourselves (normally a memory hit on
                 // the entry the leader just computed).
-                return self.fetch_uncoalesced(cfg, key, opts);
+                return self.lookup(cfg, key, opts);
             }
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             Recorder::global().incr("flow_cache.coalesced", 1);
@@ -326,13 +272,8 @@ impl FlowCache {
         Ok(fetch)
     }
 
-    /// The non-coalescing lookup ladder: memory → disk → compute.
-    fn fetch_uncoalesced(
-        &self,
-        cfg: &FlowConfig,
-        key: u64,
-        opts: FetchOpts,
-    ) -> CoreResult<FlowFetch> {
+    /// The lookup ladder one flight runs: memory → disk → compute.
+    fn lookup(&self, cfg: &FlowConfig, key: u64, opts: FetchOpts) -> CoreResult<FlowFetch> {
         if let Some(hit) = self.memory_fetch(key, opts.artifacts) {
             return Ok(hit);
         }
@@ -362,7 +303,7 @@ impl FlowCache {
                 });
             }
         }
-        self.compute(cfg, key, opts.warm)
+        self.compute(cfg, key)
     }
 
     /// Answers from the in-memory memo, or `None`.
@@ -389,19 +330,15 @@ impl FlowCache {
         })
     }
 
-    /// Runs the flow (warm when a usable seed exists and `warm` allows)
-    /// and memoises it: per-key entry, seed index, disk envelope.
-    fn compute(&self, cfg: &FlowConfig, key: u64, warm_allowed: bool) -> CoreResult<FlowFetch> {
-        let seed = if warm_allowed {
-            self.find_seed(cfg, key)
-        } else {
-            None
-        };
+    /// Runs the flow (warm when a usable seed exists) and memoises it:
+    /// per-key entry, per-placement-key seed, disk files.
+    fn compute(&self, cfg: &FlowConfig, key: u64) -> CoreResult<FlowFetch> {
+        let seed = self.find_seed(cfg);
         let computed = Arc::new(Rtl2GdsFlow::new(cfg.clone()).run_seeded(seed)?);
         let warm = computed.1.warm;
         // A warm run still *ran* the flow, so it is a miss for the
         // serialised CacheStats — `--json` stays byte-identical whether
-        // or not a neighbour's seed was available.
+        // or not a seed was available.
         self.misses.fetch_add(1, Ordering::Relaxed);
         Recorder::global().incr("flow_cache.misses", 1);
         if warm {
@@ -409,7 +346,7 @@ impl FlowCache {
             Recorder::global().incr("flow_cache.warm_hits", 1);
         }
         Self::report_flow_counters(&computed.1.span, warm);
-        self.write_store(cfg, key, &computed);
+        self.write_store(key, &computed);
         let (report, flow) = {
             let mut entries = self.entries.lock().expect(POISONED);
             let entry = entries.entry(key).or_insert_with(|| Entry {
@@ -423,11 +360,7 @@ impl FlowCache {
             .lock()
             .expect(POISONED)
             .entry(flow.1.seed.placement_key)
-            .or_default()
-            .push(NeighbourMeta {
-                key,
-                params: cfg.param_point(),
-            });
+            .or_insert_with(|| Arc::clone(&flow.1.seed));
         Ok(FlowFetch {
             report,
             artifacts: Some(flow),
@@ -438,60 +371,32 @@ impl FlowCache {
         })
     }
 
-    /// The nearest warm-start seed for `cfg`, or `None`. In-process
-    /// seeds are checked first (free), then the disk store's sidecar
-    /// metadata (only the winning candidate's envelope is parsed).
-    /// Exact-key candidates are excluded from neighbour ranking — an
-    /// exact hit is served by the hit tiers, not warm-started — except
-    /// that an artifact-level lookup finding its *own* exact envelope
-    /// on disk uses that envelope's seed to replay itself.
-    fn find_seed(&self, cfg: &FlowConfig, key: u64) -> Option<Arc<PlacementSeed>> {
+    /// The warm-start seed for `cfg`'s placement key, or `None`: this
+    /// process's first seed under that key, else the disk store's seed
+    /// file.
+    fn find_seed(&self, cfg: &FlowConfig) -> Option<Arc<PlacementSeed>> {
         let placement_key = cfg.placement_key();
-        let target = cfg.param_point();
-        let near = self
-            .seeds
-            .lock()
-            .expect(POISONED)
-            .get(&placement_key)
-            .and_then(|cands| nearest_neighbour(target, key, cands));
-        // Indexed keys always hold a computed flow.
-        if let Some(seed) = near.and_then(|pick| {
-            let entries = self.entries.lock().expect(POISONED);
-            Some(Arc::clone(&entries.get(&pick.key)?.flow.as_ref()?.1.seed))
-        }) {
-            return Some(seed);
+        if let Some(seed) = self.seeds.lock().expect(POISONED).get(&placement_key) {
+            return Some(Arc::clone(seed));
         }
-        let store = self.store.as_ref()?;
-        // Reaching compute with our exact envelope on disk means the
-        // lookup needs artifacts the envelope cannot fully supply — but
-        // its seed replays this very configuration, the best warm start
-        // there is.
-        if let Some(envelope) = store.get(key) {
-            return Some(Arc::new(envelope.seed));
-        }
-        let pick = nearest_neighbour(target, key, &store.neighbours(placement_key))?;
-        Some(Arc::new(store.get(pick.key)?.seed))
+        Some(Arc::new(self.store.as_ref()?.get_seed(placement_key)?))
     }
 
-    /// Writes one computed flow through the artifact store (no-op
-    /// without one).
-    fn write_store(&self, cfg: &FlowConfig, key: u64, computed: &(FlowReport, FlowArtifacts)) {
+    /// Writes one computed flow's report, and a cold run's seed, through
+    /// the disk store (no-op without one). A warm run's seed is already
+    /// on disk under its placement key.
+    fn write_store(&self, key: u64, computed: &(FlowReport, FlowArtifacts)) {
         let Some(store) = &self.store else {
             return;
         };
-        let artifacts = &computed.1;
         store.put(&StoredEnvelope {
             version: STORE_VERSION,
             key,
-            placement_key: artifacts.seed.placement_key,
-            params: cfg.param_point(),
             report: computed.0.clone(),
-            seed: (*artifacts.seed).clone(),
-            routing: artifacts.routing.clone(),
-            timing: artifacts.timing.clone(),
-            clock_tree: artifacts.clock_tree.clone(),
-            power: artifacts.power.clone(),
         });
+        if !computed.1.warm {
+            store.put_seed(&computed.1.seed);
+        }
     }
 
     /// Reports the flow's headline sub-span counters into the global
@@ -556,7 +461,7 @@ impl FlowCache {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Flow runs that warm-started from a cached neighbour's seed.
+    /// Flow runs that warm-started from a cached placement seed.
     pub fn warm_count(&self) -> u64 {
         self.warm_hits.load(Ordering::Relaxed)
     }
@@ -585,7 +490,6 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::store::MemoryStore;
 
     fn quick_cfg() -> FlowConfig {
         FlowConfig::baseline_2d()
@@ -656,7 +560,7 @@ mod tests {
 
         // Cold reference: each config computed in isolation.
         let cold = FlowCache::new();
-        let cold_b = cold.fetch(&b, FetchOpts::artifacts().cold()).unwrap();
+        let cold_b = cold.fetch(&b, FetchOpts::artifacts()).unwrap();
         assert!(!cold_b.warm);
 
         // Warm path: `a` seeds `b`.
@@ -791,18 +695,19 @@ mod tests {
         );
         assert_eq!(*first.report, *recalled.report, "disk round-trip is exact");
 
-        // "Process three" asks for artifacts: the envelope cannot fully
-        // supply them, so the flow re-runs — warm-started by its own
-        // stored seed, reproducing the cold result exactly.
+        // "Process three" asks for artifacts: the report file cannot
+        // supply them, so the flow re-runs — warm-started by the seed
+        // stored under its placement key, reproducing the cold result
+        // exactly.
         let three = FlowCache::with_disk_dir(&dir);
         let full = three.fetch(&cfg, FetchOpts::artifacts()).unwrap();
-        assert!(full.warm, "own envelope seeds the artifact recompute");
+        assert!(full.warm, "the stored seed warms the artifact recompute");
         assert_eq!(*full.report, *first.report);
 
         // Corrupt envelope degrades to a cold miss, not an error.
         let store = DiskStore::new(&dir);
         fs::write(store.envelope_path(cfg.stable_key()), "not json").unwrap();
-        fs::remove_file(store.meta_path(cfg.stable_key())).ok();
+        fs::remove_file(store.seed_path(cfg.placement_key())).ok();
         let four = FlowCache::with_disk_dir(&dir);
         let fetch = four.fetch(&cfg, FetchOpts::report()).unwrap();
         assert!(!fetch.reused());
@@ -823,8 +728,8 @@ mod tests {
         let one = FlowCache::with_disk_dir(&dir);
         one.fetch(&a, FetchOpts::report()).unwrap();
 
-        // Process two computes `b`: never seen, but `a`'s envelope is a
-        // lattice neighbour — warm start from disk.
+        // Process two computes `b`: never seen, but it shares `a`'s
+        // placement key — warm start from the seed file on disk.
         let two = FlowCache::with_disk_dir(&dir);
         let fetch = two.fetch(&b, FetchOpts::report()).unwrap();
         assert!(!fetch.reused(), "b itself was never stored");
@@ -833,7 +738,8 @@ mod tests {
 
         // Cold reference agrees byte-for-byte.
         let cold = FlowCache::new();
-        let cold_b = cold.fetch(&b, FetchOpts::report().cold()).unwrap();
+        let cold_b = cold.fetch(&b, FetchOpts::report()).unwrap();
+        assert!(!cold_b.warm);
         assert_eq!(*fetch.report, *cold_b.report);
         // The seed's place spans went through the disk encoding and
         // still replay the cold sub-span tree exactly.
@@ -847,37 +753,31 @@ mod tests {
 
     #[test]
     fn corrupt_seed_envelope_falls_back_to_cold() {
-        let store = MemoryStore::new();
-        let a = quick_cfg();
-        let mut b = quick_cfg();
-        b.activity += 0.05;
-        // Store a's envelope, then mangle its seed so validation fails.
-        let one = FlowCache::new();
-        let fa = one.fetch(&a, FetchOpts::artifacts()).unwrap();
-        let artifacts = &fa.artifacts.as_ref().unwrap().1;
-        let mut seed = (*artifacts.seed).clone();
+        let dir = std::env::temp_dir().join(format!("m3d-cache-bad-seed-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cfg = quick_cfg();
+        let cold = FlowCache::new()
+            .fetch(&cfg, FetchOpts::artifacts())
+            .unwrap();
+        let good_seed = &cold.artifacts.as_ref().unwrap().1.seed;
+        // Store the seed mangled so validation fails.
+        let mut seed = (**good_seed).clone();
         seed.placement.cell_pos.truncate(1);
-        store.put(&StoredEnvelope {
-            version: STORE_VERSION,
-            key: a.stable_key(),
-            placement_key: a.placement_key(),
-            params: a.param_point(),
-            report: fa.report.as_ref().clone(),
-            seed,
-            routing: artifacts.routing.clone(),
-            timing: artifacts.timing.clone(),
-            clock_tree: artifacts.clock_tree.clone(),
-            power: artifacts.power.clone(),
-        });
-        let cache = FlowCache::with_store(Box::new(store));
-        let fetch = cache.fetch(&b, FetchOpts::report()).unwrap();
+        let cache = FlowCache::with_disk_dir(&dir);
+        let store = DiskStore::new(&dir);
+        store.put_seed(&seed);
+        let fetch = cache.fetch(&cfg, FetchOpts::report()).unwrap();
         assert!(
             !fetch.warm,
             "a truncated seed fails validation and the run goes cold"
         );
-        let cold = FlowCache::new();
-        let cold_b = cold.fetch(&b, FetchOpts::report().cold()).unwrap();
-        assert_eq!(*fetch.report, *cold_b.report);
+        assert_eq!(*fetch.report, *cold.report);
+        // The cold run replaced the corrupt seed file with its own.
+        assert_eq!(
+            store.get_seed(cfg.placement_key()).as_ref(),
+            Some(&**good_seed)
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

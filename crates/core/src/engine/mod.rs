@@ -17,12 +17,12 @@
 //!   flow runs by the [`m3d_tech::StableHash`] of their
 //!   [`m3d_pd::FlowConfig`], fetched through the single
 //!   [`cache::FlowCache::fetch`] entry point — optionally backed by an
-//!   on-disk [`store::ArtifactStore`] tier (`M3D_CACHE_DIR`) shared
-//!   across CLI invocations and replicas, which also supplies
-//!   warm-start placement seeds to neighbouring configurations;
-//! * [`store`] — the versioned on-disk artifact envelope behind the
-//!   cache's disk tier (reports + placements + route/STA/CTS/power
-//!   state, with sidecar metadata for neighbour ranking);
+//!   on-disk [`store::DiskStore`] tier (`M3D_CACHE_DIR`) shared across
+//!   CLI invocations and replicas, which also supplies warm-start
+//!   placement seeds to every configuration sharing a placement key;
+//! * [`store`] — the versioned on-disk files behind the cache's disk
+//!   tier: one report per configuration key, one placement seed per
+//!   placement key;
 //! * [`inflight`] — a single-flight dedup map coalescing *concurrent*
 //!   identical computations (the cache handles *repeated* ones); the
 //!   experiment service (`m3d-serve`) and the coalescing fetch path run
@@ -48,4 +48,4 @@ pub use inflight::{Flight, InFlight};
 pub use parallel::{jobs, par_map, par_map_jobs};
 pub use report::{ExperimentReport, StageRecord};
 pub use stage::{Pipeline, Stage, StageCtx};
-pub use store::{ArtifactStore, DiskStore, MemoryStore, NeighbourMeta, StoredEnvelope};
+pub use store::{DiskStore, StoredEnvelope};

@@ -102,8 +102,8 @@ impl FlowConfig {
     /// `activity` only shape post-placement phases). Two configurations
     /// with equal placement keys provably produce byte-identical
     /// pre-optimisation placements, which is what lets a warm-started
-    /// run reuse a neighbour's placement without perturbing a single
-    /// output bit.
+    /// run reuse another configuration's placement without perturbing a
+    /// single output bit.
     pub fn placement_key(&self) -> u64 {
         use m3d_tech::StableHash as _;
         let mut h = m3d_tech::StableHasher::new();
@@ -115,57 +115,12 @@ impl FlowConfig {
         self.legalize.stable_hash(&mut h);
         h.finish()
     }
-
-    /// This configuration's typed coordinates on the sweep parameter
-    /// lattice — the axes free to differ between configurations sharing
-    /// a [`FlowConfig::placement_key`]. The engine ranks warm-start
-    /// seed candidates by [`ParamPoint::distance`] over these.
-    pub fn param_point(&self) -> ParamPoint {
-        ParamPoint {
-            activity: self.activity,
-            max_rounds: self.opt.max_rounds as f64,
-            upsize_threshold_ns: self.opt.upsize_threshold_ns,
-            buffer_length_um: self.opt.buffer_length_um,
-            detour: self.opt.detour,
-        }
-    }
 }
 
-/// Typed position of a [`FlowConfig`] on the parameter lattice sweeps
-/// walk: the post-placement knobs (`activity` and the [`OptConfig`]
-/// axes). Serialised into the on-disk artifact envelope so warm-start
-/// candidates can be ranked without re-deriving their configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ParamPoint {
-    /// Signal activity factor.
-    pub activity: f64,
-    /// Optimisation round budget.
-    pub max_rounds: f64,
-    /// Upsize threshold in ns.
-    pub upsize_threshold_ns: f64,
-    /// Repeater insertion length in µm.
-    pub buffer_length_um: f64,
-    /// Routing detour factor.
-    pub detour: f64,
-}
-
-impl ParamPoint {
-    /// Scale-normalised L1 distance to `other`: each axis is divided by
-    /// a characteristic sweep step (5 % activity, one round, 0.1 ns,
-    /// 100 µm, 0.05 detour) so no single axis dominates by unit choice.
-    /// Deterministic, symmetric, zero iff the lattice points coincide.
-    pub fn distance(&self, other: &ParamPoint) -> f64 {
-        (self.activity - other.activity).abs() / 0.05
-            + (self.max_rounds - other.max_rounds).abs()
-            + (self.upsize_threshold_ns - other.upsize_threshold_ns).abs() / 0.1
-            + (self.buffer_length_um - other.buffer_length_um).abs() / 100.0
-            + (self.detour - other.detour).abs() / 0.05
-    }
-}
-
-/// The warm-start seed one flow run leaves for neighbouring
-/// configurations: the pre-optimisation placement together with the
-/// recorded `place`/`legalize` spans and the legalisation displacement.
+/// The warm-start seed one flow run leaves for every configuration
+/// sharing its placement key: the pre-optimisation placement together
+/// with the recorded `place`/`legalize` spans and the legalisation
+/// displacement.
 /// A seeded run replays these verbatim instead of re-annealing — valid
 /// only when [`PlacementSeed::placement_key`] matches the target
 /// configuration's [`FlowConfig::placement_key`], in which case the

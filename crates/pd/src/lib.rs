@@ -52,8 +52,8 @@ pub use drc::{check_placement, DrcKind, DrcReport, DrcViolation};
 pub use error::{PdError, PdResult};
 pub use floorplan::{under_array_usable_area, FixedBlock, Floorplan, Region, RegionKind};
 pub use flow::{
-    cs_geometric_demand, FlowArtifacts, FlowConfig, FlowReport, NetlistSource, ParamPoint,
-    PlacementSeed, Rtl2GdsFlow,
+    cs_geometric_demand, FlowArtifacts, FlowConfig, FlowReport, NetlistSource, PlacementSeed,
+    Rtl2GdsFlow,
 };
 pub use gds::LayoutExport;
 pub use geom::{BoundingBox, Point, Rect};

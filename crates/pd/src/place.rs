@@ -97,7 +97,7 @@ impl PlacerConfig {
 /// A finished placement.
 ///
 /// Serialisable so the on-disk artifact store can persist placements and
-/// warm-start later runs of neighbouring configurations from them.
+/// warm-start later runs under the same placement key from them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Placement {
     /// Cluster centre positions (indexed like `Clustering::clusters`).

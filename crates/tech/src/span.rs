@@ -32,7 +32,7 @@ pub enum Provenance {
     DiskHit,
     /// Joined another caller's in-flight execution (single-flight).
     Coalesced,
-    /// The work ran, warm-started from a cached neighbour's artifacts
+    /// The work ran, warm-started from a cached placement seed
     /// (byte-identical to a cold run; only wall-clock differs).
     Warm,
 }

@@ -26,6 +26,21 @@ const RETIRED: &[&str] = &[
     // The `flow-v1` report read path of the disk store.
     "legacy_report_path",
     "get_report",
+    // Warm-start neighbour ranking, its sidecars and the store trait:
+    // a seed is addressed by its placement key alone.
+    "ParamPoint",
+    "param_point",
+    "nearest_neighbour",
+    "NeighbourMeta",
+    "EnvelopeMeta",
+    "MemoryStore",
+    "ArtifactStore",
+    "with_store",
+    "meta_path",
+    ".meta.json",
+    // `FetchOpts` knobs nobody set.
+    "uncoalesced",
+    ".cold()",
 ];
 
 /// `FlowCache` shims that must not regrow in `engine/cache.rs`.
