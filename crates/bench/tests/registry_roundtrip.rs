@@ -3,7 +3,8 @@
 //! the wire, and the freshly engine-ported binaries produce
 //! byte-identical `--json` artifacts at any `M3D_JOBS` value, equal to
 //! their pinned FNV-1a digests — also when `flow_sensitivity`
-//! warm-starts from a prewarmed disk cache.
+//! warm-starts from a prewarmed disk cache — and so does the `ingest`
+//! binary on the checked-in example EDIF.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -311,5 +312,64 @@ fn flow_sensitivity_warm_starts_from_the_disk_seed_byte_identically() {
     assert_eq!(count(&format!("flow-v{STORE_VERSION}-")), 6, "{names:?}");
     assert_eq!(count(&format!("place-v{STORE_VERSION}-")), 1, "{names:?}");
     assert_eq!(names.len(), 7, "nothing else is written: {names:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The ingest gate: the checked-in example EDIF flattens and implements
+/// deterministically (the `--json` is byte-identical across worker
+/// counts and equal to its pinned digest), the trace carries the
+/// front-end counters, and a malformed source is a bad request (exit 2)
+/// whose message names a source position.
+#[test]
+fn ingest_example_is_deterministic_and_malformed_sources_exit_2() {
+    let exe = env!("CARGO_BIN_EXE_ingest");
+    let example = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/adder4.edif");
+    let mut file = std::ffi::OsString::from("file=");
+    file.push(&example);
+    let dir = std::env::temp_dir().join(format!("m3d-ingest-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("ingest-trace.json");
+    let run = |jobs: &str, json: &Path, extra: &[&std::ffi::OsStr]| {
+        let status = Command::new(exe)
+            .arg("--quick")
+            .arg("--set")
+            .arg(&file)
+            .arg("--json")
+            .arg(json)
+            .args(extra)
+            .env("M3D_JOBS", jobs)
+            .env_remove("M3D_CACHE_DIR")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("binary runs");
+        assert!(status.success(), "ingest --quick failed (M3D_JOBS={jobs})");
+        std::fs::read(json).expect("report written")
+    };
+    let one = run(
+        "1",
+        &dir.join("ingest-a.json"),
+        &["--trace-json".as_ref(), trace.as_os_str()],
+    );
+    let four = run("4", &dir.join("ingest-b.json"), &[]);
+    assert_eq!(one, four, "ingest --json must not depend on M3D_JOBS");
+    assert_eq!(fnv1a(&one), "12a825e0e1a1ab6a", "ingest --json bytes moved");
+    let spans = std::fs::read_to_string(&trace).expect("trace written");
+    for counter in [
+        "\"ingest.cells\"",
+        "\"ingest.nets\"",
+        "\"ingest.flatten_depth\"",
+    ] {
+        assert!(spans.contains(counter), "trace lacks {counter}:\n{spans}");
+    }
+
+    let out = Command::new(exe)
+        .args(["--set", "source=(edif broken"])
+        .env_remove("M3D_CACHE_DIR")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "malformed EDIF: {stderr}");
+    assert!(stderr.contains("line 1, column"), "no position: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

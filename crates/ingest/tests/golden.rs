@@ -3,6 +3,7 @@
 //! fail with accurate source positions.
 
 use m3d_ingest::{ingest, Format};
+use m3d_tech::StableHash;
 
 const ADDER4_EDIF: &str = include_str!("../../../examples/adder4.edif");
 const MAC_UNIT_V: &str = include_str!("../../../examples/mac_unit.v");
@@ -19,7 +20,7 @@ fn adder4_example_flattens_to_four_full_adders() {
     assert_eq!(nl.primary_outputs.len(), 5);
     assert!(nl.lint().is_empty(), "{:?}", nl.lint());
     // Scoped instance names follow the generator convention.
-    let names: Vec<&str> = nl.cells().iter().map(|c| c.name.as_str()).collect();
+    let names: Vec<&str> = nl.cells().iter().map(|c| nl.name_of(c.name)).collect();
     assert!(names.contains(&"slice0/fa"), "{names:?}");
     assert!(names.contains(&"slice3/fa"), "{names:?}");
 }
@@ -32,7 +33,7 @@ fn adder4_example_computes_sums() {
         nl.nets()
             .iter()
             .enumerate()
-            .find(|(_, n)| n.name == want)
+            .find(|(_, n)| nl.name_of(n.name) == want)
             .map(|(i, _)| m3d_netlist::NetId(i as u32))
             .unwrap_or_else(|| panic!("net `{want}` missing"))
     };
@@ -75,7 +76,7 @@ fn mac_unit_example_ingests_as_verilog() {
     assert!(nl.clock.is_some(), "clock attribute survives");
     assert!(nl.lint().is_empty(), "{:?}", nl.lint());
     assert!(
-        nl.nets().iter().any(|n| n.name == "mul/p"),
+        nl.nets().iter().any(|n| nl.name_of(n.name) == "mul/p"),
         "escaped identifier keeps its hierarchical spelling"
     );
 }
@@ -153,7 +154,7 @@ fn black_boxes_come_from_interface_declarations_and_unknown_refs() {
     let pll = nl
         .macros()
         .iter()
-        .find(|m| m.name == "u_pll")
+        .find(|m| nl.name_of(m.name) == "u_pll")
         .expect("pll macro");
     match &pll.kind {
         m3d_netlist::MacroKind::BlackBox { model, area } => {
@@ -165,4 +166,18 @@ fn black_boxes_come_from_interface_declarations_and_unknown_refs() {
     assert_eq!(pll.drives.len(), 1);
     assert_eq!(pll.receives.len(), 1);
     assert!(nl.lint().is_empty(), "{:?}", nl.lint());
+}
+
+/// The content keys of both checked-in examples after ingest. Ingested
+/// keys name the `flow-v4-<key>.json` cache files, so every name byte
+/// and the order of cells, macros and ports are pinned here.
+#[test]
+fn example_content_keys_are_pinned() {
+    for (src, want) in [
+        (ADDER4_EDIF, "54647cbbce9e4d3b"),
+        (MAC_UNIT_V, "3e901f98b0c89057"),
+    ] {
+        let nl = ingest(src, Format::Auto).unwrap().netlist;
+        assert_eq!(format!("{:016x}", nl.stable_key()), want, "{}", nl.name);
+    }
 }

@@ -9,7 +9,6 @@ use m3d_tech::stdcell::{CellKind, DriveStrength};
 use m3d_tech::Tier;
 
 use crate::error::NetlistResult;
-use crate::gen::name;
 use crate::netlist::{NetId, Netlist};
 
 /// Result of adding two buses: sum bits plus the final carry out.
@@ -44,12 +43,12 @@ pub fn ripple_carry_adder(
     let mut sum = Vec::with_capacity(a.len());
     let mut carry = cin;
     for (i, (&ai, &bi)) in a.iter().zip(b).enumerate() {
-        let s = nl.add_net(name!("{prefix}/s{i}"));
-        let c = nl.add_net(name!("{prefix}/c{i}"));
+        let s = nl.add_net(format_args!("{prefix}/s{i}"));
+        let c = nl.add_net(format_args!("{prefix}/c{i}"));
         match carry {
             Some(cn) => {
                 nl.add_cell(
-                    name!("{prefix}/fa{i}"),
+                    format_args!("{prefix}/fa{i}"),
                     CellKind::FullAdder,
                     DriveStrength::X1,
                     tier,
@@ -59,7 +58,7 @@ pub fn ripple_carry_adder(
             }
             None => {
                 nl.add_cell(
-                    name!("{prefix}/ha{i}"),
+                    format_args!("{prefix}/ha{i}"),
                     CellKind::HalfAdder,
                     DriveStrength::X1,
                     tier,
@@ -106,9 +105,9 @@ pub fn array_multiplier(
     let pp_row = |nl: &mut Netlist, j: usize| -> NetlistResult<Vec<NetId>> {
         let mut row = Vec::with_capacity(w);
         for (i, &ai) in a.iter().enumerate() {
-            let p = nl.add_net(name!("{prefix}/pp{j}_{i}"));
+            let p = nl.add_net(format_args!("{prefix}/pp{j}_{i}"));
             nl.add_cell(
-                name!("{prefix}/and{j}_{i}"),
+                format_args!("{prefix}/and{j}_{i}"),
                 CellKind::And2,
                 DriveStrength::X1,
                 tier,
@@ -133,7 +132,7 @@ pub fn array_multiplier(
         let mut next = lo;
         if hi.len() == w {
             // Steady state: both operands are w bits; keep the carry.
-            let added = ripple_carry_adder(nl, &name!("{prefix}/row{j}"), tier, &hi, &row, None)?;
+            let added = ripple_carry_adder(nl, &format!("{prefix}/row{j}"), tier, &hi, &row, None)?;
             next.extend(added.sum);
             next.push(added.cout);
         } else {
@@ -142,16 +141,16 @@ pub fn array_multiplier(
             debug_assert_eq!(hi.len(), w - 1);
             let added = ripple_carry_adder(
                 nl,
-                &name!("{prefix}/row{j}"),
+                &format!("{prefix}/row{j}"),
                 tier,
                 &hi,
                 &row[..w - 1],
                 None,
             )?;
-            let top_s = nl.add_net(name!("{prefix}/top_s{j}"));
-            let top_c = nl.add_net(name!("{prefix}/top_c{j}"));
+            let top_s = nl.add_net(format_args!("{prefix}/top_s{j}"));
+            let top_c = nl.add_net(format_args!("{prefix}/top_c{j}"));
             nl.add_cell(
-                name!("{prefix}/top{j}"),
+                format_args!("{prefix}/top{j}"),
                 CellKind::HalfAdder,
                 DriveStrength::X1,
                 tier,
@@ -182,9 +181,9 @@ pub fn register(
 ) -> NetlistResult<Vec<NetId>> {
     let mut q = Vec::with_capacity(d.len());
     for (i, &di) in d.iter().enumerate() {
-        let qi = nl.add_net(name!("{prefix}/q{i}"));
+        let qi = nl.add_net(format_args!("{prefix}/q{i}"));
         nl.add_cell(
-            name!("{prefix}/dff{i}"),
+            format_args!("{prefix}/dff{i}"),
             CellKind::Dff,
             DriveStrength::X1,
             tier,
@@ -216,13 +215,13 @@ pub fn counter(
     // Registers first (their D inputs are wired afterwards via the
     // incrementer outputs), so declare D nets upfront.
     let d: Vec<NetId> = (0..width)
-        .map(|i| nl.add_net(name!("{prefix}/d{i}")))
+        .map(|i| nl.add_net(format_args!("{prefix}/d{i}")))
         .collect();
-    let q = register(nl, &name!("{prefix}/reg"), tier, &d)?;
+    let q = register(nl, &format!("{prefix}/reg"), tier, &d)?;
     // Incrementer: half-adder chain adding 1 (carry-in = q[0] toggle).
     // d[0] = NOT q[0]; carry = q[0]; d[i] = q[i] XOR carry.
     nl.add_cell(
-        name!("{prefix}/inv0"),
+        format_args!("{prefix}/inv0"),
         CellKind::Inv,
         DriveStrength::X1,
         tier,
@@ -232,9 +231,9 @@ pub fn counter(
     let mut carry = q[0];
     for i in 1..width {
         let s = d[i];
-        let c = nl.add_net(name!("{prefix}/cc{i}"));
+        let c = nl.add_net(format_args!("{prefix}/cc{i}"));
         nl.add_cell(
-            name!("{prefix}/ha{i}"),
+            format_args!("{prefix}/ha{i}"),
             CellKind::HalfAdder,
             DriveStrength::X1,
             tier,
@@ -256,7 +255,7 @@ mod tests {
     fn inputs(nl: &mut Netlist, prefix: &str, w: usize) -> Vec<NetId> {
         (0..w)
             .map(|i| {
-                let n = nl.add_net(name!("{prefix}{i}"));
+                let n = nl.add_net(format_args!("{prefix}{i}"));
                 nl.set_primary_input(n).unwrap();
                 n
             })

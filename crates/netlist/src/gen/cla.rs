@@ -11,7 +11,6 @@ use m3d_tech::Tier;
 
 use crate::error::NetlistResult;
 use crate::gen::arith::{ripple_carry_adder, AdderOut};
-use crate::gen::name;
 use crate::netlist::{NetId, Netlist};
 
 /// Bits per carry-select block.
@@ -43,27 +42,27 @@ pub fn carry_select_adder(
     // Constant nets for the speculative carry-ins: derive 0 and 1 from
     // the first operand bit (x AND ~x = 0; x OR ~x = 1) so the adder is
     // self-contained.
-    let not_a0 = nl.add_net(name!("{prefix}/na0"));
+    let not_a0 = nl.add_net(format_args!("{prefix}/na0"));
     nl.add_cell(
-        name!("{prefix}/cinv"),
+        format_args!("{prefix}/cinv"),
         CellKind::Inv,
         DriveStrength::X1,
         tier,
         &[a[0]],
         &[not_a0],
     )?;
-    let zero = nl.add_net(name!("{prefix}/zero"));
+    let zero = nl.add_net(format_args!("{prefix}/zero"));
     nl.add_cell(
-        name!("{prefix}/czero"),
+        format_args!("{prefix}/czero"),
         CellKind::And2,
         DriveStrength::X1,
         tier,
         &[a[0], not_a0],
         &[zero],
     )?;
-    let one = nl.add_net(name!("{prefix}/one"));
+    let one = nl.add_net(format_args!("{prefix}/one"));
     nl.add_cell(
-        name!("{prefix}/cone"),
+        format_args!("{prefix}/cone"),
         CellKind::Or2,
         DriveStrength::X1,
         tier,
@@ -76,7 +75,7 @@ pub fn carry_select_adder(
     let first_end = BLOCK.min(w);
     let first = ripple_carry_adder(
         nl,
-        &name!("{prefix}/b0"),
+        &format!("{prefix}/b0"),
         tier,
         &a[..first_end],
         &b[..first_end],
@@ -94,7 +93,7 @@ pub fn carry_select_adder(
         // Speculative copies for carry-in 0 and carry-in 1.
         let s0 = ripple_carry_adder(
             nl,
-            &name!("{prefix}/b{blk}c0"),
+            &format!("{prefix}/b{blk}c0"),
             tier,
             a_blk,
             b_blk,
@@ -102,7 +101,7 @@ pub fn carry_select_adder(
         )?;
         let s1 = ripple_carry_adder(
             nl,
-            &name!("{prefix}/b{blk}c1"),
+            &format!("{prefix}/b{blk}c1"),
             tier,
             a_blk,
             b_blk,
@@ -110,9 +109,9 @@ pub fn carry_select_adder(
         )?;
         // Select with the incoming carry.
         for i in 0..(hi - lo) {
-            let y = nl.add_net(name!("{prefix}/sel{blk}_{i}"));
+            let y = nl.add_net(format_args!("{prefix}/sel{blk}_{i}"));
             nl.add_cell(
-                name!("{prefix}/smux{blk}_{i}"),
+                format_args!("{prefix}/smux{blk}_{i}"),
                 CellKind::Mux2,
                 DriveStrength::X1,
                 tier,
@@ -121,9 +120,9 @@ pub fn carry_select_adder(
             )?;
             sum.push(y);
         }
-        let cy = nl.add_net(name!("{prefix}/cy{blk}"));
+        let cy = nl.add_net(format_args!("{prefix}/cy{blk}"));
         nl.add_cell(
-            name!("{prefix}/cmux{blk}"),
+            format_args!("{prefix}/cmux{blk}"),
             CellKind::Mux2,
             DriveStrength::X2,
             tier,
@@ -145,7 +144,7 @@ mod tests {
     fn inputs(nl: &mut Netlist, prefix: &str, w: usize) -> Vec<NetId> {
         (0..w)
             .map(|i| {
-                let n = nl.add_net(name!("{prefix}{i}"));
+                let n = nl.add_net(format_args!("{prefix}{i}"));
                 nl.set_primary_input(n).unwrap();
                 n
             })
@@ -201,7 +200,7 @@ mod tests {
         let csa_mux_chain = csa_nl
             .cells()
             .iter()
-            .filter(|c| c.name.contains("/cmux"))
+            .filter(|c| csa_nl.name_of(c.name).contains("/cmux"))
             .count();
         assert_eq!(csa_mux_chain, 24 / 4 - 1);
     }

@@ -9,7 +9,6 @@ use m3d_tech::{StableHash, StableHasher, Tier};
 
 use crate::error::NetlistResult;
 use crate::gen::arith::{array_multiplier, register, ripple_carry_adder};
-use crate::gen::name;
 use crate::netlist::{NetId, Netlist};
 
 /// Output nets of a generated PE.
@@ -75,11 +74,11 @@ pub fn mac_pe(
     assert_eq!(psum_in.len(), cfg.acc_bits, "psum_in width");
 
     // Stationary weight register and activation forwarding register.
-    let weight = register(nl, &name!("{prefix}/wreg"), tier, weight_in)?;
-    let act_out = register(nl, &name!("{prefix}/areg"), tier, act_in)?;
+    let weight = register(nl, &format!("{prefix}/wreg"), tier, weight_in)?;
+    let act_out = register(nl, &format!("{prefix}/areg"), tier, act_in)?;
 
     // Multiply the registered activation by the stationary weight.
-    let product = array_multiplier(nl, &name!("{prefix}/mult"), tier, &act_out, &weight)?;
+    let product = array_multiplier(nl, &format!("{prefix}/mult"), tier, &act_out, &weight)?;
 
     // Extend the product to accumulator width by fanning out its MSB
     // (structural sign-extension) and add the incoming partial sum.
@@ -88,8 +87,8 @@ pub fn mac_pe(
     while addend.len() < cfg.acc_bits {
         addend.push(msb);
     }
-    let acc = ripple_carry_adder(nl, &name!("{prefix}/acc"), tier, psum_in, &addend, None)?;
-    let psum_out = register(nl, &name!("{prefix}/psreg"), tier, &acc.sum)?;
+    let acc = ripple_carry_adder(nl, &format!("{prefix}/acc"), tier, psum_in, &addend, None)?;
+    let psum_out = register(nl, &format!("{prefix}/psreg"), tier, &acc.sum)?;
     // The terminal carry doubles as a saturation flag; expose it so the
     // graph stays sink-complete.
     nl.set_primary_output(acc.cout)?;
@@ -105,7 +104,7 @@ mod tests {
     fn bus(nl: &mut Netlist, name: &str, w: usize) -> Vec<NetId> {
         (0..w)
             .map(|i| {
-                let n = nl.add_net(name!("{name}{i}"));
+                let n = nl.add_net(format_args!("{name}{i}"));
                 nl.set_primary_input(n).unwrap();
                 n
             })

@@ -11,9 +11,8 @@ use m3d_tech::{RramMacro, SelectorTech, StableHash, StableHasher, TechError, Tie
 
 use crate::error::{NetlistError, NetlistResult};
 use crate::gen::arith::{counter, register};
-use crate::gen::name;
 use crate::gen::systolic::{systolic_cs, CsConfig, CsPorts, EXT_BUS_BITS};
-use crate::netlist::{MacroKind, NetId, Netlist};
+use crate::netlist::{MacroKind, NetId, NetMap, Netlist};
 
 /// Configuration of the accelerator SoC.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,11 +104,54 @@ pub struct SocPorts {
 /// later re-binds RRAM selector logic to the CNFET tier via the macro
 /// model (selectors live inside the RRAM macro, not as discrete cells).
 ///
+/// The CSs are identical, so one is generated, into a standalone block,
+/// and every CS is a stamped copy of it (`Netlist::append`) renamed
+/// `cs{i}/…`: the same netlist, in the same order, as generating each
+/// in place, for a fraction of the work.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::InvalidParameter`] for a zero CS count and
 /// propagates wiring errors.
 pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPorts> {
+    let mut block = None;
+    soc_with(nl, cfg, |nl, i, tier, zero| {
+        let (cs, ports) = match &block {
+            Some(b) => b,
+            None => block.insert(cs_block(cfg.cs, tier)?),
+        };
+        let map = nl.append(cs, &format!("cs{i}"), zero)?;
+        Ok(remap_ports(ports, map))
+    })
+}
+
+/// One CS generated into a standalone netlist whose first net stands in
+/// for the SoC's `const0`; its names are the CS's own, each starting
+/// with `/`, for [`Netlist::append`] to prefix.
+fn cs_block(cfg: CsConfig, tier: Tier) -> NetlistResult<(Netlist, CsPorts)> {
+    let mut block = Netlist::new("cs");
+    let zero = block.add_net("const0");
+    let ports = systolic_cs(&mut block, "", tier, cfg, zero)?;
+    Ok((block, ports))
+}
+
+/// `ports` of a block, translated to where `map` says it was appended.
+fn remap_ports(ports: &CsPorts, map: NetMap) -> CsPorts {
+    let bus = |nets: &[NetId]| nets.iter().map(|&n| map.net(n)).collect();
+    CsPorts {
+        weight_cols: ports.weight_cols.iter().map(|col| bus(col)).collect(),
+        ext_act_in: bus(&ports.ext_act_in),
+        result_out: bus(&ports.result_out),
+    }
+}
+
+/// The SoC around its CSs: `add_cs(nl, i, tier, const0)` enters CS `i`
+/// into `nl` and returns its ports.
+fn soc_with(
+    nl: &mut Netlist,
+    cfg: &SocConfig,
+    mut add_cs: impl FnMut(&mut Netlist, u32, Tier, NetId) -> NetlistResult<CsPorts>,
+) -> NetlistResult<SocPorts> {
     if cfg.cs_count == 0 {
         return Err(NetlistError::InvalidParameter {
             parameter: "cs_count",
@@ -137,10 +179,10 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
     let mut rram_recv = Vec::new();
     for b in 0..cfg.rram_banks {
         let port: Vec<NetId> = (0..cfg.rram_port_bits)
-            .map(|i| nl.add_net(name!("rram/bank{b}_rd{i}")))
+            .map(|i| nl.add_net(format_args!("rram/bank{b}_rd{i}")))
             .collect();
         rram_drives.extend(port.iter().copied());
-        let addr = counter(nl, &name!("rram_if/addr{b}"), tier, 24)?;
+        let addr = counter(nl, &format!("rram_if/addr{b}"), tier, 24)?;
         rram_recv.extend(addr);
         bank_ports.push(port);
     }
@@ -155,10 +197,7 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
     // repeaters. Its bandwidth is NOT banked — the architectural
     // bottleneck for low-intensity layers.
     let io_in: Vec<NetId> = (0..EXT_BUS_BITS)
-        .map(|i| {
-            let n = nl.add_net(name!("io/act_in{i}"));
-            n
-        })
+        .map(|i| nl.add_net(format_args!("io/act_in{i}")))
         .collect();
     for &n in &io_in {
         nl.set_primary_input(n)?;
@@ -168,12 +207,12 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
     // --- Computing sub-systems ----------------------------------------
     let mut cs_ports = Vec::with_capacity(cfg.cs_count as usize);
     for i in 0..cfg.cs_count {
-        let ports = systolic_cs(nl, &name!("cs{i}"), tier, cfg.cs, zero)?;
+        let ports = add_cs(nl, i, tier, zero)?;
 
         // Bank interface: capture the bank's read port, then mux the two
         // halves down onto this CS's weight-load buses.
         let bank = &bank_ports[(i % cfg.rram_banks) as usize];
-        let ifreg = register(nl, &name!("cs{i}_if/wreg"), tier, bank)?;
+        let ifreg = register(nl, &format!("cs{i}_if/wreg"), tier, bank)?;
         let wl_bits = cfg.cs.cols * cfg.cs.pe.data_bits;
         let mut flat_targets: Vec<NetId> = Vec::with_capacity(wl_bits);
         for col in &ports.weight_cols {
@@ -183,7 +222,7 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
             let lo = ifreg[j % ifreg.len()];
             let hi = ifreg[(j + wl_bits) % ifreg.len()];
             nl.add_cell(
-                name!("cs{i}_if/wmux{j}"),
+                format_args!("cs{i}_if/wmux{j}"),
                 CellKind::Mux2,
                 DriveStrength::X2,
                 tier,
@@ -202,7 +241,7 @@ pub fn accelerator_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPo
         // Bus repeaters driving this CS's external activation port.
         for (j, &target) in ports.ext_act_in.iter().enumerate() {
             nl.add_cell(
-                name!("cs{i}_if/busbuf{j}"),
+                format_args!("cs{i}_if/busbuf{j}"),
                 CellKind::Buf,
                 DriveStrength::X4,
                 tier,
@@ -303,6 +342,71 @@ mod tests {
         accelerator_soc(&mut nl3d, &c3).unwrap();
         let ratio = nl3d.cell_count() as f64 / nl2d.cell_count() as f64;
         assert!(ratio > 3.0 && ratio < 4.5, "ratio = {ratio}");
+    }
+
+    /// The SoC with every CS generated in place, as before stamping.
+    fn in_place_soc(nl: &mut Netlist, cfg: &SocConfig) -> NetlistResult<SocPorts> {
+        soc_with(nl, cfg, |nl, i, tier, zero| {
+            systolic_cs(nl, &format!("cs{i}"), tier, cfg.cs, zero)
+        })
+    }
+
+    /// Asserts `a` and `b` hold the same design, field by field, with
+    /// names compared as rendered text; names the first difference.
+    fn assert_same_design(a: &Netlist, b: &Netlist, what: &str) {
+        assert_eq!(a.name, b.name, "{what}: design name");
+        assert_eq!(a.cell_count(), b.cell_count(), "{what}: cells");
+        assert_eq!(a.net_count(), b.net_count(), "{what}: nets");
+        assert_eq!(a.macros().len(), b.macros().len(), "{what}: macros");
+        for (i, (x, y)) in a.cells().iter().zip(b.cells()).enumerate() {
+            assert_eq!(a.name_of(x.name), b.name_of(y.name), "{what}: cell {i}");
+            assert_eq!(
+                (x.kind, x.drive, x.tier, &*x.inputs, &*x.outputs),
+                (y.kind, y.drive, y.tier, &*y.inputs, &*y.outputs),
+                "{what}: cell {i} `{}`",
+                a.name_of(x.name)
+            );
+        }
+        for (i, (x, y)) in a.nets().iter().zip(b.nets()).enumerate() {
+            assert_eq!(a.name_of(x.name), b.name_of(y.name), "{what}: net {i}");
+            assert_eq!(x.driver, y.driver, "{what}: net {i} driver");
+            assert_eq!(&*x.sinks, &*y.sinks, "{what}: net {i} sinks, in order");
+        }
+        for (i, (x, y)) in a.macros().iter().zip(b.macros()).enumerate() {
+            assert_eq!(a.name_of(x.name), b.name_of(y.name), "{what}: macro {i}");
+            assert_eq!(x.kind, y.kind, "{what}: macro {i} kind");
+            assert_eq!(x.drives, y.drives, "{what}: macro {i} drives");
+            assert_eq!(x.receives, y.receives, "{what}: macro {i} receives");
+        }
+        assert_eq!(a.primary_inputs, b.primary_inputs, "{what}: PI order");
+        assert_eq!(a.primary_outputs, b.primary_outputs, "{what}: PO order");
+        assert_eq!(a.clock, b.clock, "{what}: clock");
+        assert!(a == b, "{what}: Netlist equality");
+        assert_eq!(a.stable_key(), b.stable_key(), "{what}: stable key");
+    }
+
+    #[test]
+    fn stamped_css_match_in_place_generation() {
+        for array in [4, 8] {
+            for cs_count in [1, 2, 4, 8] {
+                let cfg = SocConfig {
+                    cs: CsConfig {
+                        rows: array,
+                        cols: array,
+                        ..small_cs()
+                    },
+                    ..SocConfig::m3d(cs_count)
+                };
+                let what = format!("{array}x{array} M3D({cs_count})");
+                let mut stamped = Netlist::new("soc");
+                let mut in_place = Netlist::new("soc");
+                let ports = accelerator_soc(&mut stamped, &cfg).unwrap();
+                let want = in_place_soc(&mut in_place, &cfg).unwrap();
+                assert_eq!(ports, want, "{what}: ports");
+                assert_same_design(&stamped, &in_place, &what);
+                assert!(stamped.lint().is_empty(), "{what}: lint");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@ use m3d_tech::{SramMacro, StableHash, StableHasher, Tier};
 
 use crate::error::NetlistResult;
 use crate::gen::arith::{counter, register, ripple_carry_adder};
-use crate::gen::name;
 use crate::gen::pe::{mac_pe, PeConfig};
 use crate::netlist::{MacroKind, NetId, Netlist};
 
@@ -106,32 +105,32 @@ pub fn systolic_cs(
     // buffer stages rows for streaming; the output local buffer collects
     // results before they return to the global buffer.
     let ext_act_in: Vec<NetId> = (0..EXT_BUS_BITS)
-        .map(|i| nl.add_net(name!("{prefix}/ext_act{i}")))
+        .map(|i| nl.add_net(format_args!("{prefix}/ext_act{i}")))
         .collect();
     let gbuf_rd: Vec<NetId> = (0..EXT_BUS_BITS)
-        .map(|i| nl.add_net(name!("{prefix}/gbuf_rd{i}")))
+        .map(|i| nl.add_net(format_args!("{prefix}/gbuf_rd{i}")))
         .collect();
     // Control counters generate addresses.
-    let addr_a = counter(nl, &name!("{prefix}/ctl/addr_a"), tier, 16)?;
-    let addr_b = counter(nl, &name!("{prefix}/ctl/addr_b"), tier, 16)?;
-    let tile_cnt = counter(nl, &name!("{prefix}/ctl/tile"), tier, 12)?;
+    let addr_a = counter(nl, &format!("{prefix}/ctl/addr_a"), tier, 16)?;
+    let addr_b = counter(nl, &format!("{prefix}/ctl/addr_b"), tier, 16)?;
+    let tile_cnt = counter(nl, &format!("{prefix}/ctl/tile"), tier, 12)?;
 
     let mut gbuf_recv: Vec<NetId> = ext_act_in.clone();
     gbuf_recv.extend(addr_a.iter().copied());
     nl.add_macro(
-        name!("{prefix}/gbuf"),
+        format_args!("{prefix}/gbuf"),
         MacroKind::Sram(SramMacro::with_capacity_kb(cfg.global_buffer_kb)),
         &gbuf_rd,
         &gbuf_recv,
     )?;
 
     let ibuf_rd: Vec<NetId> = (0..cfg.rows * db)
-        .map(|i| nl.add_net(name!("{prefix}/ibuf_rd{i}")))
+        .map(|i| nl.add_net(format_args!("{prefix}/ibuf_rd{i}")))
         .collect();
     let mut ibuf_recv: Vec<NetId> = gbuf_rd.clone();
     ibuf_recv.extend(addr_b.iter().copied());
     nl.add_macro(
-        name!("{prefix}/ibuf"),
+        format_args!("{prefix}/ibuf"),
         MacroKind::Sram(SramMacro::with_capacity_kb(cfg.local_buffer_kb)),
         &ibuf_rd,
         &ibuf_recv,
@@ -143,7 +142,7 @@ pub fn systolic_cs(
     for r in 0..cfg.rows {
         let mut bus: Vec<NetId> = ibuf_rd[r * db..(r + 1) * db].to_vec();
         for s in 0..r {
-            bus = register(nl, &name!("{prefix}/skew_r{r}_s{s}"), tier, &bus)?;
+            bus = register(nl, &format!("{prefix}/skew_r{r}_s{s}"), tier, &bus)?;
         }
         row_act.push(bus);
     }
@@ -152,7 +151,7 @@ pub fn systolic_cs(
     let weight_cols: Vec<Vec<NetId>> = (0..cfg.cols)
         .map(|c| {
             (0..db)
-                .map(|i| nl.add_net(name!("{prefix}/wcol{c}_{i}")))
+                .map(|i| nl.add_net(format_args!("{prefix}/wcol{c}_{i}")))
                 .collect()
         })
         .collect();
@@ -166,7 +165,7 @@ pub fn systolic_cs(
         for (r, act) in act_bus.iter_mut().enumerate() {
             let out = mac_pe(
                 nl,
-                &name!("{prefix}/pe_r{r}_c{c}"),
+                &format!("{prefix}/pe_r{r}_c{c}"),
                 tier,
                 cfg.pe,
                 act,
@@ -190,16 +189,16 @@ pub fn systolic_cs(
     let mut col_acc: Vec<Vec<NetId>> = Vec::with_capacity(cfg.cols);
     for (c, psum) in col_psum.iter().enumerate() {
         let fb: Vec<NetId> = (0..ab)
-            .map(|i| nl.add_net(name!("{prefix}/accfb{c}_{i}")))
+            .map(|i| nl.add_net(format_args!("{prefix}/accfb{c}_{i}")))
             .collect();
-        let sum = ripple_carry_adder(nl, &name!("{prefix}/colacc{c}"), tier, psum, &fb, None)?;
+        let sum = ripple_carry_adder(nl, &format!("{prefix}/colacc{c}"), tier, psum, &fb, None)?;
         nl.set_primary_output(sum.cout)?;
-        let q = register(nl, &name!("{prefix}/colreg{c}"), tier, &sum.sum)?;
+        let q = register(nl, &format!("{prefix}/colreg{c}"), tier, &sum.sum)?;
         // Feedback: register output drives the adder's second operand via
         // an AND gate with the clear signal (tile boundary).
         for i in 0..ab {
             nl.add_cell(
-                name!("{prefix}/accclr{c}_{i}"),
+                format_args!("{prefix}/accclr{c}_{i}"),
                 CellKind::And2,
                 DriveStrength::X1,
                 tier,
@@ -229,9 +228,9 @@ pub fn systolic_cs(
             }
             let mut merged = Vec::with_capacity(pair[0].len());
             for i in 0..pair[0].len() {
-                let y = nl.add_net(name!("{prefix}/omux{stage}_{pair_idx}_{i}"));
+                let y = nl.add_net(format_args!("{prefix}/omux{stage}_{pair_idx}_{i}"));
                 nl.add_cell(
-                    name!("{prefix}/omuxc{stage}_{pair_idx}_{i}"),
+                    format_args!("{prefix}/omuxc{stage}_{pair_idx}_{i}"),
                     CellKind::Mux2,
                     DriveStrength::X1,
                     tier,
@@ -253,15 +252,15 @@ pub fn systolic_cs(
         res_d.push(zero);
     }
     res_d.truncate(RESULT_BITS);
-    let result_out = register(nl, &name!("{prefix}/oreg"), tier, &res_d)?;
+    let result_out = register(nl, &format!("{prefix}/oreg"), tier, &res_d)?;
 
     let mut obuf_recv = result_out.clone();
     obuf_recv.extend(addr_b.iter().copied());
     let obuf_rd: Vec<NetId> = (0..RESULT_BITS)
-        .map(|i| nl.add_net(name!("{prefix}/obuf_rd{i}")))
+        .map(|i| nl.add_net(format_args!("{prefix}/obuf_rd{i}")))
         .collect();
     nl.add_macro(
-        name!("{prefix}/obuf"),
+        format_args!("{prefix}/obuf"),
         MacroKind::Sram(SramMacro::with_capacity_kb(cfg.local_buffer_kb)),
         &obuf_rd,
         &obuf_recv,
@@ -338,7 +337,7 @@ mod tests {
     fn cs_has_three_sram_macros() {
         let (nl, _) = build(4, 4);
         assert_eq!(nl.macros().len(), 3);
-        let names: Vec<_> = nl.macros().iter().map(|m| m.name.as_str()).collect();
+        let names: Vec<_> = nl.macros().iter().map(|m| nl.name_of(m.name)).collect();
         assert!(names.iter().any(|n| n.ends_with("gbuf")));
         assert!(names.iter().any(|n| n.ends_with("ibuf")));
         assert!(names.iter().any(|n| n.ends_with("obuf")));
@@ -372,14 +371,14 @@ mod tests {
         let skew_dffs = nl
             .cells()
             .iter()
-            .filter(|c| c.name.contains("/skew_r3_"))
+            .filter(|c| nl.name_of(c.name).contains("/skew_r3_"))
             .count();
         // Row 3 has 3 stages × 8 bits.
         assert_eq!(skew_dffs, 24);
         assert_eq!(
             nl.cells()
                 .iter()
-                .filter(|c| c.name.contains("/skew_r0_"))
+                .filter(|c| nl.name_of(c.name).contains("/skew_r0_"))
                 .count(),
             0
         );

@@ -45,8 +45,8 @@ pub use gen::{
     SocPorts,
 };
 pub use netlist::{
-    CellId, CellInst, Driver, MacroId, MacroInst, MacroKind, Net, NetId, Netlist, Pins, Sink,
-    MAX_INPUTS, MAX_OUTPUTS,
+    CellId, CellInst, Driver, MacroId, MacroInst, MacroKind, Name, Net, NetId, Netlist, Pins, Sink,
+    Sinks, MAX_INPUTS, MAX_OUTPUTS,
 };
 pub use parser::from_verilog;
 pub use stats::NetlistStats;

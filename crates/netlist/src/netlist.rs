@@ -6,6 +6,15 @@
 //! uses for hierarchical clustering. Each net records its single driver
 //! and its sink pins, which is exactly what placement, routing estimation
 //! and static timing analysis need.
+//!
+//! The model is plain data: every instance and net name lives in one
+//! name buffer owned by the netlist (a [`Name`] is a handle into it,
+//! rendered by [`Netlist::name_of`]), cell pins are inline [`Pins`] and
+//! a net keeps up to two sinks inline ([`Sinks`]). A paper-size SoC of
+//! ~400k cells and ~570k nets then holds one heap block per net with more
+//! than two sinks (~36k) instead of one per name and per sink list.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -25,6 +34,12 @@ pub struct NetId(pub u32);
 /// Identifier of a macro instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MacroId(pub u32);
+
+/// An instance or net name: a handle into its netlist's name buffer,
+/// rendered by [`Netlist::name_of`]. Handles of different netlists are
+/// unrelated, so names compare by their rendered text only.
+#[derive(Debug, Clone, Copy)]
+pub struct Name(u32);
 
 /// What drives a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,7 +83,6 @@ pub enum Sink {
 /// `[NetId]`. Every library cell has at most [`MAX_INPUTS`] inputs and
 /// [`MAX_OUTPUTS`] outputs, so a cell's pin lists need no heap block of
 /// their own (a flow builds and drops hundreds of thousands of cells).
-/// Serialises as the plain array of its nets.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Pins<const N: usize> {
     len: u8,
@@ -118,31 +132,120 @@ impl<'a, const N: usize> IntoIterator for &'a Pins<N> {
     }
 }
 
-impl<const N: usize> std::fmt::Debug for Pins<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<const N: usize> fmt::Debug for Pins<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl<const N: usize> Serialize for Pins<N> {
-    fn to_value(&self) -> serde::Value {
-        (**self).to_value()
+/// Sinks a net holds without a heap block of its own. Most nets of a
+/// generated design (94 % of the paper-size SoC's) have at most two.
+const INLINE_SINKS: usize = 2;
+
+/// The sink pins of one net, in the order they were connected;
+/// dereferences to `[Sink]`. Up to two sinks are stored inline, more
+/// spill to a heap vector. Equality compares the sink slices, whichever
+/// form holds them.
+#[derive(Clone)]
+pub struct Sinks(SinkStore);
+
+#[derive(Clone)]
+enum SinkStore {
+    // Slots at and past `len` are unused filler.
+    Inline {
+        len: u8,
+        sinks: [Sink; INLINE_SINKS],
+    },
+    Heap(Vec<Sink>),
+}
+
+impl Default for Sinks {
+    fn default() -> Self {
+        Sinks(SinkStore::Inline {
+            len: 0,
+            sinks: [Sink::PrimaryOutput; INLINE_SINKS],
+        })
     }
 }
 
-impl<const N: usize> Deserialize for Pins<N> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let nets = Vec::<NetId>::from_value(v)?;
-        Self::new(&nets)
-            .ok_or_else(|| serde::Error(format!("expected at most {N} pins, got {}", nets.len())))
+impl Sinks {
+    /// Appends one sink; a third spills the list to the heap.
+    pub fn push(&mut self, sink: Sink) {
+        match &mut self.0 {
+            SinkStore::Inline { len, sinks } if usize::from(*len) < INLINE_SINKS => {
+                sinks[usize::from(*len)] = sink;
+                *len += 1;
+            }
+            SinkStore::Inline { sinks, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_SINKS);
+                spilled.extend_from_slice(sinks);
+                spilled.push(sink);
+                self.0 = SinkStore::Heap(spilled);
+            }
+            SinkStore::Heap(sinks) => sinks.push(sink),
+        }
+    }
+
+    /// A copy with every sink passed through `f`, in the same form: a
+    /// spilled list is copied into one block of its exact length.
+    fn map(&self, f: impl Fn(Sink) -> Sink) -> Sinks {
+        Sinks(match &self.0 {
+            SinkStore::Inline { len, sinks } => SinkStore::Inline {
+                len: *len,
+                sinks: sinks.map(f),
+            },
+            SinkStore::Heap(sinks) => SinkStore::Heap(sinks.iter().map(|&s| f(s)).collect()),
+        })
+    }
+}
+
+impl Extend<Sink> for Sinks {
+    fn extend<I: IntoIterator<Item = Sink>>(&mut self, iter: I) {
+        for sink in iter {
+            self.push(sink);
+        }
+    }
+}
+
+impl std::ops::Deref for Sinks {
+    type Target = [Sink];
+
+    fn deref(&self) -> &[Sink] {
+        match &self.0 {
+            SinkStore::Inline { len, sinks } => &sinks[..usize::from(*len)],
+            SinkStore::Heap(sinks) => sinks,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Sinks {
+    type Item = &'a Sink;
+    type IntoIter = std::slice::Iter<'a, Sink>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Sinks {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Sinks {}
+
+impl fmt::Debug for Sinks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 /// One standard-cell instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellInst {
     /// Hierarchical instance name (`/`-separated).
-    pub name: String,
+    pub name: Name,
     /// Logical function.
     pub kind: CellKind,
     /// Drive strength.
@@ -189,10 +292,10 @@ impl MacroKind {
 }
 
 /// One hard-macro instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MacroInst {
     /// Hierarchical instance name.
-    pub name: String,
+    pub name: Name,
     /// What macro this is.
     pub kind: MacroKind,
     /// Nets the macro drives (its read-data port bits, represented as a
@@ -203,14 +306,14 @@ pub struct MacroInst {
 }
 
 /// One net with its connectivity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Net {
     /// Net name.
-    pub name: String,
+    pub name: Name,
     /// The single driver, if connected yet.
     pub driver: Option<Driver>,
     /// All sink pins.
-    pub sinks: Vec<Sink>,
+    pub sinks: Sinks,
 }
 
 impl Net {
@@ -221,13 +324,17 @@ impl Net {
 }
 
 /// A flat gate-level netlist.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     /// Design name.
     pub name: String,
     cells: Vec<CellInst>,
     macros: Vec<MacroInst>,
     nets: Vec<Net>,
+    /// Every instance and net name, back to back.
+    names: String,
+    /// End offset in `names` of each [`Name`], by handle.
+    name_ends: Vec<u32>,
     /// Primary input nets.
     pub primary_inputs: Vec<NetId>,
     /// Primary output nets.
@@ -246,11 +353,11 @@ impl m3d_tech::StableHash for Netlist {
     /// representation both parsers reconstruct), not their full
     /// technology parameters.
     fn stable_hash(&self, h: &mut m3d_tech::StableHasher) {
-        let net_name = |id: &NetId| self.nets[id.0 as usize].name.as_str();
+        let net_name = |id: &NetId| self.name_of(self.nets[id.0 as usize].name);
         h.write_str(&self.name);
         h.write_u64(self.cells.len() as u64);
         for c in &self.cells {
-            h.write_str(&c.name);
+            h.write_str(self.name_of(c.name));
             h.write_str(c.kind.base_name());
             h.write_str(c.drive.suffix());
             c.tier.stable_hash(h);
@@ -265,7 +372,7 @@ impl m3d_tech::StableHash for Netlist {
         }
         h.write_u64(self.macros.len() as u64);
         for m in &self.macros {
-            h.write_str(&m.name);
+            h.write_str(self.name_of(m.name));
             h.write_str(&m.kind.model_name());
             if let MacroKind::BlackBox { area, .. } = &m.kind {
                 h.write_f64(area.value());
@@ -294,12 +401,43 @@ impl m3d_tech::StableHash for Netlist {
                 h.write_str(net_name(id));
             }
         }
-        let mut names: Vec<&str> = self.nets.iter().map(|n| n.name.as_str()).collect();
+        let mut names: Vec<&str> = self.nets.iter().map(|n| self.name_of(n.name)).collect();
         names.sort_unstable();
         h.write_u64(names.len() as u64);
         for name in names {
             h.write_str(name);
         }
+    }
+}
+
+/// Structural equality with names compared as text: two netlists that
+/// wrote their names into the buffer in different orders are equal when
+/// every cell, macro and net carries the same rendered name, kind and
+/// connectivity (sink order included) and the ports match.
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        let same_name = |a: Name, b: Name| self.name_of(a) == other.name_of(b);
+        self.name == other.name
+            && self.primary_inputs == other.primary_inputs
+            && self.primary_outputs == other.primary_outputs
+            && self.clock == other.clock
+            && self.cells.len() == other.cells.len()
+            && self.macros.len() == other.macros.len()
+            && self.nets.len() == other.nets.len()
+            && self.cells.iter().zip(&other.cells).all(|(a, b)| {
+                same_name(a.name, b.name)
+                    && (a.kind, a.drive, a.tier, a.inputs, a.outputs)
+                        == (b.kind, b.drive, b.tier, b.inputs, b.outputs)
+            })
+            && self.macros.iter().zip(&other.macros).all(|(a, b)| {
+                same_name(a.name, b.name)
+                    && a.kind == b.kind
+                    && a.drives == b.drives
+                    && a.receives == b.receives
+            })
+            && self.nets.iter().zip(&other.nets).all(|(a, b)| {
+                same_name(a.name, b.name) && a.driver == b.driver && a.sinks == b.sinks
+            })
     }
 }
 
@@ -310,6 +448,43 @@ impl Netlist {
             name: name.into(),
             ..Self::default()
         }
+    }
+
+    /// The text of an instance or net name of this netlist.
+    ///
+    /// # Panics
+    ///
+    /// `name` must come from this netlist: another netlist's handle
+    /// renders an unrelated name of this one, or panics past its last.
+    pub fn name_of(&self, name: Name) -> &str {
+        let i = name.0 as usize;
+        let start = match i.checked_sub(1) {
+            Some(prev) => self.name_ends[prev] as usize,
+            None => 0,
+        };
+        &self.names[start..self.name_ends[i] as usize]
+    }
+
+    /// Writes `name` into the name buffer and returns its handle.
+    fn intern(&mut self, name: impl fmt::Display) -> Name {
+        use fmt::Write as _;
+        write!(self.names, "{name}").expect("a Display implementation returned an error");
+        self.end_name()
+    }
+
+    /// Writes `prefix` followed by `rest` into the name buffer.
+    fn intern_prefixed(&mut self, prefix: &str, rest: &str) -> Name {
+        self.names.push_str(prefix);
+        self.names.push_str(rest);
+        self.end_name()
+    }
+
+    /// Closes the name written since the previous one.
+    fn end_name(&mut self) -> Name {
+        let handle = u32::try_from(self.name_ends.len()).expect("fewer than 2^32 names");
+        let end = u32::try_from(self.names.len()).expect("name buffer under 4 GiB");
+        self.name_ends.push(end);
+        Name(handle)
     }
 
     /// All cell instances.
@@ -391,13 +566,15 @@ impl Netlist {
             })
     }
 
-    /// Creates a fresh unconnected net.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+    /// Creates a fresh unconnected net. `name` is written straight into
+    /// the name buffer, so generators pass `format_args!`.
+    pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
         let id = NetId(self.nets.len() as u32);
+        let name = self.intern(name);
         self.nets.push(Net {
-            name: name.into(),
+            name,
             driver: None,
-            sinks: Vec::new(),
+            sinks: Sinks::default(),
         });
         id
     }
@@ -417,8 +594,9 @@ impl Netlist {
                 index: net.0 as usize,
             })?;
         if n.driver.is_some() {
+            let net = n.name;
             return Err(NetlistError::MultipleDrivers {
-                net: n.name.clone(),
+                net: self.name_of(net).to_owned(),
             });
         }
         n.driver = Some(Driver::PrimaryInput);
@@ -446,7 +624,7 @@ impl Netlist {
 
     /// Adds a cell instance connected to the given input and output nets
     /// (in pin order), wiring drivers and sinks. A failed call leaves the
-    /// netlist unchanged.
+    /// netlist, its name buffer included, unchanged.
     ///
     /// # Errors
     ///
@@ -456,18 +634,17 @@ impl Netlist {
     /// nets.
     pub fn add_cell(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         kind: CellKind,
         drive: DriveStrength,
         tier: Tier,
         inputs: &[NetId],
         outputs: &[NetId],
     ) -> NetlistResult<CellId> {
-        let name = name.into();
         let Some(input_pins) = Pins::new(inputs).filter(|_| inputs.len() == kind.input_count())
         else {
             return Err(NetlistError::PinCountMismatch {
-                instance: name,
+                instance: name.to_string(),
                 expected: kind.input_count(),
                 provided: inputs.len(),
                 direction: "input",
@@ -476,13 +653,14 @@ impl Netlist {
         let Some(output_pins) = Pins::new(outputs).filter(|_| outputs.len() == kind.output_count())
         else {
             return Err(NetlistError::PinCountMismatch {
-                instance: name,
+                instance: name.to_string(),
                 expected: kind.output_count(),
                 provided: outputs.len(),
                 direction: "output",
             });
         };
         self.check_connectable(inputs, outputs)?;
+        let name = self.intern(name);
         let id = CellId(self.cells.len() as u32);
         for (pin, &net) in inputs.iter().enumerate() {
             self.nets[net.0 as usize].sinks.push(Sink::Cell {
@@ -508,7 +686,7 @@ impl Netlist {
     }
 
     /// Adds a hard-macro instance with driven and received port nets. A
-    /// failed call leaves the netlist unchanged.
+    /// failed call leaves the netlist, its name buffer included, unchanged.
     ///
     /// # Errors
     ///
@@ -516,12 +694,13 @@ impl Netlist {
     /// already driven, or [`NetlistError::InvalidId`] for unknown nets.
     pub fn add_macro(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         kind: MacroKind,
         drives: &[NetId],
         receives: &[NetId],
     ) -> NetlistResult<MacroId> {
         self.check_connectable(receives, drives)?;
+        let name = self.intern(name);
         let id = MacroId(self.macros.len() as u32);
         for &net in drives {
             self.nets[net.0 as usize].driver = Some(Driver::Macro { id });
@@ -530,7 +709,7 @@ impl Netlist {
             self.nets[net.0 as usize].sinks.push(Sink::Macro { id });
         }
         self.macros.push(MacroInst {
-            name: name.into(),
+            name,
             kind,
             drives: drives.to_vec(),
             receives: receives.to_vec(),
@@ -549,7 +728,7 @@ impl Netlist {
             let n = self.net(net)?;
             if n.driver.is_some() || drives[..i].contains(&net) {
                 return Err(NetlistError::MultipleDrivers {
-                    net: n.name.clone(),
+                    net: self.name_of(n.name).to_owned(),
                 });
             }
         }
@@ -607,7 +786,7 @@ impl Netlist {
                 }
             }
         }
-        self.nets[to.0 as usize].sinks.extend(sinks);
+        self.nets[to.0 as usize].sinks.extend(sinks.iter().copied());
         Ok(())
     }
 
@@ -617,9 +796,9 @@ impl Netlist {
     /// Returns the number of re-bound instances.
     pub fn bind_tier_by_prefix(&mut self, prefix: &str, tier: Tier) -> usize {
         let mut n = 0;
-        for c in &mut self.cells {
-            if c.name.starts_with(prefix) {
-                c.tier = tier;
+        for i in 0..self.cells.len() {
+            if self.name_of(self.cells[i].name).starts_with(prefix) {
+                self.cells[i].tier = tier;
                 n += 1;
             }
         }
@@ -635,69 +814,110 @@ impl Netlist {
         let mut issues = Vec::new();
         for (i, net) in self.nets.iter().enumerate() {
             if net.driver.is_none() {
-                issues.push(format!("net `{}` is undriven", net.name));
+                issues.push(format!("net `{}` is undriven", self.name_of(net.name)));
             }
             if net.sinks.is_empty() && self.clock != Some(NetId(i as u32)) {
-                issues.push(format!("net `{}` has no sinks", net.name));
+                issues.push(format!("net `{}` has no sinks", self.name_of(net.name)));
             }
         }
         issues
     }
 
-    /// Merges `other` into `self`, prefixing its instance and net names
-    /// with `scope/` and remapping all ids. Returns the net-id offset so
-    /// callers can translate `other`'s ids (`NetId(i)` → `NetId(i + off)`).
-    pub fn absorb(&mut self, other: Netlist, scope: &str) -> u32 {
-        let net_off = self.nets.len() as u32;
+    /// Appends a copy of `block`: every id is offset past this netlist's
+    /// own and every name is written as `prefix` followed by the block's
+    /// name. `block`'s first net stands in for `tie`: it is not copied,
+    /// its sinks join `tie`'s (in `block`'s order) and any listing of it
+    /// maps to `tie`. Cells, nets, macros, sinks and primary inputs and
+    /// outputs keep `block`'s order, so appending a generated block gives
+    /// the netlist that generating it in place would. `block`'s clock
+    /// designation is not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InvalidId`] when `tie` is not a net of
+    /// this netlist; nothing is appended then.
+    pub(crate) fn append(
+        &mut self,
+        block: &Netlist,
+        prefix: &str,
+        tie: NetId,
+    ) -> NetlistResult<NetMap> {
+        self.net(tie)?;
+        let map = NetMap {
+            tie,
+            offset: self.nets.len() as u32,
+        };
         let cell_off = self.cells.len() as u32;
         let macro_off = self.macros.len() as u32;
-        for mut net in other.nets {
-            net.name = format!("{scope}/{}", net.name);
-            net.driver = net.driver.map(|d| match d {
-                Driver::Cell { cell, pin } => Driver::Cell {
-                    cell: CellId(cell.0 + cell_off),
-                    pin,
-                },
-                Driver::Macro { id } => Driver::Macro {
-                    id: MacroId(id.0 + macro_off),
-                },
-                Driver::PrimaryInput => Driver::PrimaryInput,
-            });
-            for s in &mut net.sinks {
-                *s = match *s {
-                    Sink::Cell { cell, pin } => Sink::Cell {
-                        cell: CellId(cell.0 + cell_off),
-                        pin,
-                    },
-                    Sink::Macro { id } => Sink::Macro {
-                        id: MacroId(id.0 + macro_off),
-                    },
-                    Sink::PrimaryOutput => Sink::PrimaryOutput,
-                };
-            }
-            self.nets.push(net);
+        let cell_id = |c: CellId| CellId(c.0 + cell_off);
+        let macro_id = |m: MacroId| MacroId(m.0 + macro_off);
+        let sink = |s: Sink| match s {
+            Sink::Cell { cell, pin } => Sink::Cell {
+                cell: cell_id(cell),
+                pin,
+            },
+            Sink::Macro { id } => Sink::Macro { id: macro_id(id) },
+            Sink::PrimaryOutput => Sink::PrimaryOutput,
+        };
+        let driver = |d: Driver| match d {
+            Driver::Cell { cell, pin } => Driver::Cell {
+                cell: cell_id(cell),
+                pin,
+            },
+            Driver::Macro { id } => Driver::Macro { id: macro_id(id) },
+            Driver::PrimaryInput => Driver::PrimaryInput,
+        };
+        if let Some(stand_in) = block.nets.first() {
+            let tied = &mut self.nets[tie.0 as usize].sinks;
+            tied.extend(stand_in.sinks.iter().copied().map(sink));
         }
-        for mut cell in other.cells {
-            cell.name = format!("{scope}/{}", cell.name);
+        for net in block.nets.iter().skip(1) {
+            let name = self.intern_prefixed(prefix, block.name_of(net.name));
+            self.nets.push(Net {
+                name,
+                driver: net.driver.map(driver),
+                sinks: net.sinks.map(sink),
+            });
+        }
+        for cell in &block.cells {
+            let mut cell = cell.clone();
+            cell.name = self.intern_prefixed(prefix, block.name_of(cell.name));
             for n in cell.inputs.iter_mut().chain(cell.outputs.iter_mut()) {
-                *n = NetId(n.0 + net_off);
+                *n = map.net(*n);
             }
             self.cells.push(cell);
         }
-        for mut mac in other.macros {
-            mac.name = format!("{scope}/{}", mac.name);
-            for n in mac.drives.iter_mut().chain(mac.receives.iter_mut()) {
-                *n = NetId(n.0 + net_off);
-            }
-            self.macros.push(mac);
+        for mac in &block.macros {
+            let name = self.intern_prefixed(prefix, block.name_of(mac.name));
+            self.macros.push(MacroInst {
+                name,
+                kind: mac.kind.clone(),
+                drives: mac.drives.iter().map(|&n| map.net(n)).collect(),
+                receives: mac.receives.iter().map(|&n| map.net(n)).collect(),
+            });
         }
-        for n in other.primary_inputs {
-            self.primary_inputs.push(NetId(n.0 + net_off));
+        let inputs = block.primary_inputs.iter().map(|&n| map.net(n));
+        self.primary_inputs.extend(inputs);
+        let outputs = block.primary_outputs.iter().map(|&n| map.net(n));
+        self.primary_outputs.extend(outputs);
+        Ok(map)
+    }
+}
+
+/// Where [`Netlist::append`] put a block's nets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NetMap {
+    tie: NetId,
+    offset: u32,
+}
+
+impl NetMap {
+    /// The appended copy of the block's net `n`.
+    pub(crate) fn net(self, n: NetId) -> NetId {
+        match n.0.checked_sub(1) {
+            Some(i) => NetId(self.offset + i),
+            None => self.tie,
         }
-        for n in other.primary_outputs {
-            self.primary_outputs.push(NetId(n.0 + net_off));
-        }
-        net_off
     }
 }
 
@@ -804,6 +1024,19 @@ mod tests {
         assert_eq!(nl.net(a).unwrap().fanout(), 1);
         assert!(nl.lint().is_empty(), "{:?}", nl.lint());
         assert_eq!(nl, before);
+        // Equality renders names, so check the name buffer itself too.
+        assert_eq!(nl.names, before.names);
+        assert_eq!(nl.name_ends, before.name_ends);
+        let r = nl.add_cell(
+            "u4",
+            CellKind::Nand2,
+            DriveStrength::X1,
+            Tier::SiCmos,
+            &[a],
+            &[],
+        );
+        assert!(matches!(r, Err(NetlistError::PinCountMismatch { .. })));
+        assert_eq!(nl.names, before.names);
 
         // A fresh net listed twice as an output is a second driver too,
         // and the first listing must not stick.
@@ -832,11 +1065,112 @@ mod tests {
             assert!(kind.input_count() <= MAX_INPUTS, "{kind:?}");
             assert!(kind.output_count() <= MAX_OUTPUTS, "{kind:?}");
         }
-        use serde::{Deserialize as _, Serialize as _};
-        let v = p.to_value();
-        assert_eq!(v, vec![NetId(4), NetId(7)].to_value());
-        assert_eq!(Pins::<3>::from_value(&v).unwrap(), p);
-        assert!(Pins::<1>::from_value(&v).is_err());
+    }
+
+    fn cell_sink(i: u32) -> Sink {
+        Sink::Cell {
+            cell: CellId(i),
+            pin: (i % 3) as u8,
+        }
+    }
+
+    #[test]
+    fn sinks_spill_from_inline_to_heap_in_order() {
+        let mut s = Sinks::default();
+        assert!(s.is_empty());
+        for i in 0..5 {
+            s.push(cell_sink(i));
+            assert_eq!(
+                matches!(s.0, SinkStore::Inline { .. }),
+                i < INLINE_SINKS as u32,
+                "after {} pushes",
+                i + 1
+            );
+            let want: Vec<Sink> = (0..=i).map(cell_sink).collect();
+            assert_eq!(&*s, &want[..]);
+        }
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{:?}", (0..5).map(cell_sink).collect::<Vec<_>>())
+        );
+        assert_eq!(s.iter().count(), 5);
+    }
+
+    #[test]
+    fn sinks_take_and_extend_keep_order() {
+        let mut from = Sinks::default();
+        from.extend((0..3).map(cell_sink));
+        let taken = std::mem::take(&mut from);
+        assert!(from.is_empty());
+        assert!(matches!(from.0, SinkStore::Inline { len: 0, .. }));
+        let mut to = Sinks::default();
+        to.push(Sink::PrimaryOutput);
+        to.extend(taken.iter().copied());
+        let want = [
+            Sink::PrimaryOutput,
+            cell_sink(0),
+            cell_sink(1),
+            cell_sink(2),
+        ];
+        assert_eq!(&*to, &want[..]);
+    }
+
+    #[test]
+    fn sinks_compare_by_slice_across_inline_and_heap() {
+        let mut inline = Sinks::default();
+        inline.extend([cell_sink(1), Sink::Macro { id: MacroId(2) }]);
+        // The same two sinks held on the heap.
+        let heap = Sinks(SinkStore::Heap(vec![
+            cell_sink(1),
+            Sink::Macro { id: MacroId(2) },
+        ]));
+        assert_eq!(inline, heap);
+        assert_eq!(heap, inline);
+        let mut longer = heap.clone();
+        longer.push(Sink::PrimaryOutput);
+        assert_ne!(inline, longer);
+        let mut reordered = Sinks::default();
+        reordered.extend([Sink::Macro { id: MacroId(2) }, cell_sink(1)]);
+        assert_ne!(inline, reordered);
+        assert_eq!(Sinks::default(), Sinks(SinkStore::Heap(Vec::new())));
+    }
+
+    #[test]
+    fn names_render_from_one_buffer_and_compare_as_text() {
+        let (nl, a, _b, y) = tiny();
+        assert_eq!(nl.name_of(nl.net(a).unwrap().name), "a");
+        assert_eq!(nl.name_of(nl.net(y).unwrap().name), "y");
+        assert_eq!(nl.name_of(nl.cells()[0].name), "u1");
+        let mut n = Netlist::new("t");
+        let i = 7;
+        let net = n.add_net(format_args!("bus/q{i}"));
+        let owned = n.add_net(String::from("owned"));
+        assert_eq!(n.name_of(n.net(net).unwrap().name), "bus/q7");
+        assert_eq!(n.name_of(n.net(owned).unwrap().name), "owned");
+        assert_eq!(n.names, "bus/q7owned");
+        // The same design with its names written in another order is
+        // equal and keys identically.
+        use m3d_tech::StableHash;
+        let mut alt = nl.clone();
+        let mut names = String::new();
+        let mut ends = Vec::new();
+        for c in alt.cells.iter_mut().rev() {
+            names.push_str(nl.name_of(c.name));
+            ends.push(names.len() as u32);
+            c.name = Name(ends.len() as u32 - 1);
+        }
+        for net in alt.nets.iter_mut().rev() {
+            names.push_str(nl.name_of(net.name));
+            ends.push(names.len() as u32);
+            net.name = Name(ends.len() as u32 - 1);
+        }
+        alt.names = names;
+        alt.name_ends = ends;
+        assert_ne!(alt.names, nl.names);
+        assert_eq!(alt, nl);
+        assert_eq!(alt.stable_key(), nl.stable_key());
+        alt.cells[0].name = alt.intern("u9");
+        assert_ne!(alt, nl);
     }
 
     #[test]
@@ -876,30 +1210,6 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(nl.cells()[0].tier, Tier::Cnfet);
         assert_eq!(nl.cells()[1].tier, Tier::SiCmos);
-    }
-
-    #[test]
-    fn absorb_remaps_ids_and_names() {
-        let (child, _, _, _) = tiny();
-        let mut parent = Netlist::new("parent");
-        let pre_existing = parent.add_net("root_net");
-        parent.set_primary_input(pre_existing).unwrap();
-        parent.set_primary_output(pre_existing).unwrap();
-        let off = parent.absorb(child.clone(), "cs0");
-        assert_eq!(off, 1);
-        assert_eq!(parent.cell_count(), 1);
-        assert_eq!(parent.net_count(), 4);
-        assert!(parent.cells()[0].name.starts_with("cs0/"));
-        // Remapped driver still points at the (only) cell.
-        let y = NetId(2 + off);
-        assert!(matches!(
-            parent.net(y).unwrap().driver,
-            Some(Driver::Cell {
-                cell: CellId(0),
-                ..
-            })
-        ));
-        assert!(parent.lint().is_empty());
     }
 
     #[test]
@@ -954,7 +1264,7 @@ mod tests {
         assert_eq!(nl.stable_key(), alt.stable_key());
         // Renaming an instance changes the key.
         let mut renamed = nl.clone();
-        renamed.cells[0].name = "u2".into();
+        renamed.cells[0].name = renamed.intern("u2");
         assert_ne!(nl.stable_key(), renamed.stable_key());
         // Swapping the input pin order changes the key.
         let mut swapped = nl.clone();

@@ -675,7 +675,7 @@ mod tests {
                         parsed
                             .nets()
                             .iter()
-                            .position(|net| net.name == want)
+                            .position(|net| parsed.name_of(net.name) == want)
                             .unwrap() as u32,
                     )
                 })
@@ -730,8 +730,8 @@ mod tests {
         let src = "module m (\n  input \\cs0/in ,\n  output \\cs0/out \n);\n  \
                    INV_X1 \\cs0/u1 (.A(\\cs0/in ), .Y(\\cs0/out ));\nendmodule";
         let nl = from_verilog(src).unwrap();
-        assert_eq!(nl.nets()[0].name, "cs0/in");
-        assert_eq!(nl.cells()[0].name, "cs0/u1");
+        assert_eq!(nl.name_of(nl.nets()[0].name), "cs0/in");
+        assert_eq!(nl.name_of(nl.cells()[0].name), "cs0/u1");
     }
 
     #[test]
@@ -795,7 +795,7 @@ mod tests {
         nl.clock = Some(clk);
         let parsed = from_verilog(&to_verilog(&nl)).unwrap();
         let pclk = parsed.clock.expect("clock survives the round trip");
-        assert_eq!(parsed.nets()[pclk.0 as usize].name, "clk");
+        assert_eq!(parsed.name_of(parsed.nets()[pclk.0 as usize].name), "clk");
         assert_eq!(parsed.stable_key(), nl.stable_key());
     }
 

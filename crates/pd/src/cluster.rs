@@ -118,7 +118,7 @@ impl Clustering {
         // --- Group cells by hierarchy prefix ---------------------------
         let mut cell_cluster = vec![0u32; netlist.cell_count()];
         for (i, cell) in netlist.cells().iter().enumerate() {
-            let key = prefix_of(&cell.name, CLUSTER_DEPTH);
+            let key = prefix_of(netlist.name_of(cell.name), CLUSTER_DEPTH);
             let idx = *by_prefix.entry(key).or_insert_with(|| {
                 clusters.push(Cluster {
                     name: key.to_owned(),
@@ -200,7 +200,7 @@ impl Clustering {
                 MacroKind::BlackBox { area, .. } => (ClusterKind::SramMacro(i), *area),
             };
             clusters.push(Cluster {
-                name: m.name.clone(),
+                name: netlist.name_of(m.name).to_owned(),
                 kind,
                 cells: Vec::new(),
                 area,

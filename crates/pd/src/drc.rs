@@ -105,7 +105,7 @@ pub fn check_placement(
                 &mut total,
                 DrcViolation {
                     kind: DrcKind::OffDie,
-                    instance: cell.name.clone(),
+                    instance: netlist.name_of(cell.name).to_owned(),
                     x_um: pos.x.value(),
                     y_um: pos.y.value(),
                 },
@@ -119,7 +119,7 @@ pub fn check_placement(
                     &mut total,
                     DrcViolation {
                         kind: DrcKind::InBlockage,
-                        instance: cell.name.clone(),
+                        instance: netlist.name_of(cell.name).to_owned(),
                         x_um: pos.x.value(),
                         y_um: pos.y.value(),
                     },
@@ -141,7 +141,7 @@ pub fn check_placement(
                     &mut total,
                     DrcViolation {
                         kind: DrcKind::OffRow,
-                        instance: cell.name.clone(),
+                        instance: netlist.name_of(cell.name).to_owned(),
                         x_um: pos.x.value(),
                         y_um: pos.y.value(),
                     },
@@ -168,7 +168,7 @@ pub fn check_placement(
                         &mut total,
                         DrcViolation {
                             kind: DrcKind::Overlap,
-                            instance: netlist.cells()[ci].name.clone(),
+                            instance: netlist.name_of(netlist.cells()[ci].name).to_owned(),
                             x_um: pair[1].0,
                             y_um: 0.0,
                         },

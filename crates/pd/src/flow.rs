@@ -591,14 +591,15 @@ pub fn cs_geometric_demand(netlist: &Netlist, pdk: &Pdk) -> PdResult<SquareMicro
     let util = pdk.rules.placement_utilization;
     let mut cells = SquareMicrons::ZERO;
     for c in netlist.cells() {
-        if c.name.starts_with("cs0/") || c.name.starts_with("cs0_if/") {
+        let name = netlist.name_of(c.name);
+        if name.starts_with("cs0/") || name.starts_with("cs0_if/") {
             let lib = pdk.library(c.tier)?;
             cells += lib.cell(c.kind, c.drive)?.area;
         }
     }
     let mut srams = SquareMicrons::ZERO;
     for m in netlist.macros() {
-        if m.name.starts_with("cs0/") {
+        if netlist.name_of(m.name).starts_with("cs0/") {
             if let MacroKind::Sram(s) = &m.kind {
                 srams += s.footprint();
             }

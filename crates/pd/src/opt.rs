@@ -217,10 +217,10 @@ pub fn post_route_optimize(
         for ni in long_nets {
             let center = net_center(netlist, placement, ni);
             let from = m3d_netlist::NetId(ni as u32);
-            let nb = netlist.add_net(format!("postopt_n{ni}"));
+            let nb = netlist.add_net(format_args!("postopt_n{ni}"));
             netlist.rewire_sinks(from, nb)?;
             netlist.add_cell(
-                format!("postopt/rep{ni}"),
+                format_args!("postopt/rep{ni}"),
                 CellKind::Buf,
                 DriveStrength::X8,
                 Tier::SiCmos,

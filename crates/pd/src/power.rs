@@ -265,7 +265,7 @@ pub fn analyze_power(
         }
         let pos = placement.cell_pos[ci];
         deposit(pos.x.value(), pos.y.value(), p_cell, &mut si_grid);
-        credit_cs(&cell.name, p_cell);
+        credit_cs(netlist.name_of(cell.name), p_cell);
     }
 
     // --- Macros --------------------------------------------------------------
@@ -288,7 +288,7 @@ pub fn analyze_power(
                     pos.y.value() + half,
                 );
                 spread(&r, p, &mut si_grid);
-                credit_cs(&m.name, p);
+                credit_cs(netlist.name_of(m.name), p);
             }
             MacroKind::Rram(r) => {
                 let bits_per_cycle = r.total_bandwidth_bits_per_cycle();

@@ -37,10 +37,18 @@ pub fn to_spef(netlist: &Netlist, routing: &RoutingEstimate, design: &str) -> St
         let _ = writeln!(out, "*CONN");
         match net.driver {
             Some(Driver::Cell { cell, pin }) => {
-                let _ = writeln!(out, "*I {}:{pin} O", netlist.cells()[cell.0 as usize].name);
+                let _ = writeln!(
+                    out,
+                    "*I {}:{pin} O",
+                    netlist.name_of(netlist.cells()[cell.0 as usize].name)
+                );
             }
             Some(Driver::Macro { id }) => {
-                let _ = writeln!(out, "*I {}:Q O", netlist.macros()[id.0 as usize].name);
+                let _ = writeln!(
+                    out,
+                    "*I {}:Q O",
+                    netlist.name_of(netlist.macros()[id.0 as usize].name)
+                );
             }
             Some(Driver::PrimaryInput) => {
                 let _ = writeln!(out, "*P n{ni} I");
@@ -50,10 +58,18 @@ pub fn to_spef(netlist: &Netlist, routing: &RoutingEstimate, design: &str) -> St
         for s in &net.sinks {
             match *s {
                 Sink::Cell { cell, pin } => {
-                    let _ = writeln!(out, "*I {}:{pin} I", netlist.cells()[cell.0 as usize].name);
+                    let _ = writeln!(
+                        out,
+                        "*I {}:{pin} I",
+                        netlist.name_of(netlist.cells()[cell.0 as usize].name)
+                    );
                 }
                 Sink::Macro { id } => {
-                    let _ = writeln!(out, "*I {}:D I", netlist.macros()[id.0 as usize].name);
+                    let _ = writeln!(
+                        out,
+                        "*I {}:D I",
+                        netlist.name_of(netlist.macros()[id.0 as usize].name)
+                    );
                 }
                 Sink::PrimaryOutput => {
                     let _ = writeln!(out, "*P n{ni} O");

@@ -256,7 +256,7 @@ pub fn analyze_timing(
                 check(
                     setup,
                     n.0 as usize,
-                    &|| format!("{}/D", cell.name),
+                    &|| format!("{}/D", netlist.name_of(cell.name)),
                     &arrival,
                     &mut worst,
                     &mut worst_net,
@@ -271,7 +271,7 @@ pub fn analyze_timing(
             check(
                 MACRO_SETUP_NS,
                 n.0 as usize,
-                &|| m.name.clone(),
+                &|| netlist.name_of(m.name).to_owned(),
                 &arrival,
                 &mut worst,
                 &mut worst_net,
@@ -284,7 +284,7 @@ pub fn analyze_timing(
         check(
             0.0,
             n.0 as usize,
-            &|| format!("PO {}", netlist.nets()[n.0 as usize].name),
+            &|| format!("PO {}", netlist.name_of(netlist.nets()[n.0 as usize].name)),
             &arrival,
             &mut worst,
             &mut worst_net,
@@ -301,7 +301,7 @@ pub fn analyze_timing(
         match pred[ni] {
             Some(ci) => {
                 let cell = &netlist.cells()[ci as usize];
-                critical_cells.push(cell.name.clone());
+                critical_cells.push(netlist.name_of(cell.name).to_owned());
                 critical_arrivals.push(arrival[ni].unwrap_or(0.0));
                 if cell.kind.is_sequential() || critical_cells.len() >= 64 {
                     break;
@@ -324,7 +324,11 @@ pub fn analyze_timing(
     if critical_cells.is_empty() {
         if let Some(ni) = worst_net {
             if let Some(m3d_netlist::Driver::Macro { id }) = netlist.nets()[ni].driver {
-                critical_cells.push(netlist.macros()[id.0 as usize].name.clone());
+                critical_cells.push(
+                    netlist
+                        .name_of(netlist.macros()[id.0 as usize].name)
+                        .to_owned(),
+                );
                 critical_arrivals.push(arrival[ni].unwrap_or(0.0));
             }
         }
@@ -446,8 +450,8 @@ mod tests {
         let (nl, t) = analyzed();
         for name in &t.critical_cells {
             assert!(
-                nl.cells().iter().any(|c| &c.name == name)
-                    || nl.macros().iter().any(|m| &m.name == name),
+                nl.cells().iter().any(|c| nl.name_of(c.name) == name)
+                    || nl.macros().iter().any(|m| nl.name_of(m.name) == name),
                 "unknown instance {name} on critical path"
             );
         }

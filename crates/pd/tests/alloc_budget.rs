@@ -1,12 +1,16 @@
-//! Heap-allocation budget of the flow's per-cell passes.
+//! Heap-allocation budget of netlist generation and the flow's per-cell
+//! passes.
 //!
 //! Netlist statistics, routing estimation and power analysis visit every
 //! cell or net of the design, so one heap block per visit is hundreds of
 //! thousands of allocations on a paper-size netlist. They must allocate
 //! nothing per cell or per net: the same count on a 4×4 and an 8×8
-//! array. Netlist generation keeps one block per name and per net's sink
-//! list, plus bus vectors, and must stay under a fixed number of
-//! allocations and reallocations per cell and net.
+//! array. A generated netlist is plain data: its names share one buffer,
+//! cell pins and most nets' sinks are inline, and every CS after the
+//! first is a stamped copy. Only the bus vectors of the one generated CS
+//! and the sink lists of nets with more than two sinks take blocks of
+//! their own, so generating the netlist and dropping it must each stay
+//! far under one heap block per cell and net.
 //!
 //! A `#[global_allocator]` counts the calling thread's allocations only,
 //! so the test harness's own threads cannot disturb the tallies.
@@ -21,16 +25,34 @@ use m3d_pd::{
 };
 use m3d_tech::Pdk;
 
-thread_local! {
-    /// `(allocations, reallocations)` made by this thread so far.
-    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+/// Heap operations of one thread.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ops {
+    allocs: u64,
+    reallocs: u64,
+    frees: u64,
 }
 
-fn tally(allocs: u64, reallocs: u64) {
+thread_local! {
+    /// The heap operations this thread has made so far.
+    static COUNTS: Cell<Ops> = const {
+        Cell::new(Ops {
+            allocs: 0,
+            reallocs: 0,
+            frees: 0,
+        })
+    };
+}
+
+fn tally(allocs: u64, reallocs: u64, frees: u64) {
     // `try_with`: a thread tearing down its locals may still allocate.
     let _ = COUNTS.try_with(|c| {
-        let (a, r) = c.get();
-        c.set((a + allocs, r + reallocs));
+        let o = c.get();
+        c.set(Ops {
+            allocs: o.allocs + allocs,
+            reallocs: o.reallocs + reallocs,
+            frees: o.frees + frees,
+        });
     });
 }
 
@@ -43,19 +65,20 @@ struct ThreadCounting;
 // which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for ThreadCounting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(1, 0);
+        tally(1, 0, 0);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
         // which is the one `System.alloc` requires.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally(1, 0);
+        tally(1, 0, 0);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(0, 0, 1);
         // SAFETY: every block this allocator hands out comes from
         // `System` with the same layout, so `ptr` and `layout` are valid
         // for `System.dealloc`.
@@ -63,7 +86,7 @@ unsafe impl GlobalAlloc for ThreadCounting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(0, 1);
+        tally(0, 1, 0);
         // SAFETY: `ptr` came from `System` with `layout` (see `dealloc`),
         // and the caller upholds `realloc`'s size contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -73,13 +96,18 @@ unsafe impl GlobalAlloc for ThreadCounting {
 #[global_allocator]
 static ALLOCATOR: ThreadCounting = ThreadCounting;
 
-/// Runs `f`, returning its result and the allocations and reallocations
-/// it made on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (a0, r0) = COUNTS.with(Cell::get);
+/// Runs `f`, returning its result and the heap operations it made on
+/// this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Ops) {
+    let o0 = COUNTS.with(Cell::get);
     let out = f();
-    let (a1, r1) = COUNTS.with(Cell::get);
-    (out, a1 - a0, r1 - r0)
+    let o1 = COUNTS.with(Cell::get);
+    let ops = Ops {
+        allocs: o1.allocs - o0.allocs,
+        reallocs: o1.reallocs - o0.reallocs,
+        frees: o1.frees - o0.frees,
+    };
+    (out, ops)
 }
 
 /// Allocation tallies of one small-CS M3D(2) design.
@@ -87,8 +115,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 struct Tallies {
     /// Cells plus nets of the generated netlist.
     objects: u64,
-    /// `accelerator_soc` allocations and reallocations.
-    soc: (u64, u64),
+    /// `accelerator_soc` heap operations.
+    soc: Ops,
+    /// Blocks freed by dropping the generated netlist.
+    drop_frees: u64,
     /// `NetlistStats::compute` allocations.
     stats: u64,
     /// `estimate_routing` allocations.
@@ -110,18 +140,17 @@ fn measure(array: usize) -> Tallies {
     };
     let pdk = Pdk::m3d_130nm();
     let mut nl = Netlist::new("soc");
-    let (built, soc_allocs, soc_reallocs) = counted(|| accelerator_soc(&mut nl, &cfg));
+    let (built, soc) = counted(|| accelerator_soc(&mut nl, &cfg));
     built.expect("netlist generates");
-    let (stats, stats_allocs, _) = counted(|| NetlistStats::compute(&nl, &pdk));
+    let (stats, stats_ops) = counted(|| NetlistStats::compute(&nl, &pdk));
     stats.expect("stats compute");
 
     let floorplan = Floorplan::plan(&pdk, &cfg, &nl, None).expect("floorplan fits");
     let clustering = Clustering::build(&nl, &pdk).expect("clustering builds");
     let placement = place(&clustering, &floorplan, &PlacerConfig::quick()).expect("places");
-    let (routing, route_allocs, _) =
-        counted(|| estimate_routing(&nl, &placement, &pdk, DEFAULT_DETOUR));
+    let (routing, route_ops) = counted(|| estimate_routing(&nl, &placement, &pdk, DEFAULT_DETOUR));
     let routing = routing.expect("routes");
-    let (power, power_allocs, _) = counted(|| {
+    let (power, power_ops) = counted(|| {
         analyze_power(
             &nl,
             &routing,
@@ -134,12 +163,15 @@ fn measure(array: usize) -> Tallies {
     });
     power.expect("power analyses");
 
+    let objects = (nl.cell_count() + nl.net_count()) as u64;
+    let ((), dropped) = counted(move || drop(nl));
     Tallies {
-        objects: (nl.cell_count() + nl.net_count()) as u64,
-        soc: (soc_allocs, soc_reallocs),
-        stats: stats_allocs,
-        route: route_allocs,
-        power: power_allocs,
+        objects,
+        soc,
+        drop_frees: dropped.frees,
+        stats: stats_ops.allocs,
+        route: route_ops.allocs,
+        power: power_ops.allocs,
     }
 }
 
@@ -152,15 +184,22 @@ fn per_cell_passes_allocate_nothing_per_cell_or_net() {
     assert_eq!(small.route, large.route, "estimate_routing");
     assert_eq!(small.power, large.power, "analyze_power");
     for t in [&small, &large] {
-        let (allocs, reallocs) = t.soc;
+        let Ops {
+            allocs, reallocs, ..
+        } = t.soc;
         let objects = t.objects as f64;
         assert!(
-            (allocs as f64) < 1.8 * objects,
+            (allocs as f64) < 0.2 * objects,
             "accelerator_soc made {allocs} allocations for {objects} cells + nets"
         );
         assert!(
             (reallocs as f64) < 0.1 * objects,
             "accelerator_soc made {reallocs} reallocations for {objects} cells + nets"
+        );
+        let frees = t.drop_frees;
+        assert!(
+            (frees as f64) < 0.2 * objects,
+            "dropping the netlist freed {frees} blocks for {objects} cells + nets"
         );
     }
 }

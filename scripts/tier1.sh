@@ -57,35 +57,6 @@ if grep -Evq '^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* ?.*|[a-zA-Z_:][a-zA-Z0-9_
     exit 1
 fi
 
-# Ingest gate: the checked-in example EDIF must flatten and implement
-# deterministically — the --json artifact is byte-identical across
-# worker counts — and the trace must carry the front-end counters.
-env -u M3D_CACHE_DIR M3D_JOBS=1 ./target/release/ingest --quick --set file=examples/adder4.edif \
-    --json "$tmp/ingest-a.json" --trace-json "$tmp/ingest-trace.json" >/dev/null 2>&1
-env -u M3D_CACHE_DIR M3D_JOBS=6 ./target/release/ingest --quick --set file=examples/adder4.edif \
-    --json "$tmp/ingest-b.json" >/dev/null 2>&1
-if ! cmp -s "$tmp/ingest-a.json" "$tmp/ingest-b.json"; then
-    echo "tier1: FAIL — ingest --json differs across M3D_JOBS" >&2
-    diff "$tmp/ingest-a.json" "$tmp/ingest-b.json" >&2 || true
-    exit 1
-fi
-for counter in '"ingest.cells"' '"ingest.nets"' '"ingest.flatten_depth"'; do
-    if ! grep -q "$counter" "$tmp/ingest-trace.json"; then
-        echo "tier1: FAIL — ingest trace is missing the $counter counter" >&2
-        exit 1
-    fi
-done
-# Malformed sources are bad-requests (exit 2) with a source position.
-if ./target/release/ingest --set 'source=(edif broken' >/dev/null 2>"$tmp/ingest-err.txt"; then
-    echo "tier1: FAIL — ingest accepted a malformed EDIF source" >&2
-    exit 1
-fi
-if ! grep -q 'line 1, column' "$tmp/ingest-err.txt"; then
-    echo "tier1: FAIL — ingest rejection lacks a line/column position:" >&2
-    cat "$tmp/ingest-err.txt" >&2
-    exit 1
-fi
-
 # Service smoke gate: boot m3d-serve on an ephemeral port, drive it
 # with deterministic loadgen mixes, assert the dedup counts (cold
 # computes all 12, the warm repeat computes 0, a 16-client identical

@@ -8,9 +8,13 @@
 //! and at default placer effort. Any change to the annealer, the cell
 //! library lookup or the downstream phases that moves a single bit of
 //! these results fails here.
+//!
+//! Also pins the bytes generated names reach: the Verilog export and the
+//! content key of the small-CS M3D(4) netlist.
 
-use m3d::netlist::{CsConfig, PeConfig};
+use m3d::netlist::{accelerator_soc, to_verilog, CsConfig, Netlist, PeConfig, SocConfig};
 use m3d::pd::{FlowConfig, Rtl2GdsFlow};
+use m3d::tech::{StableHash, StableHasher};
 
 fn small_cs() -> CsConfig {
     CsConfig {
@@ -121,5 +125,30 @@ fn default_effort_flow_pair_is_bit_identical() {
             82,
             3957,
         ],
+    );
+}
+
+/// FNV-1a digests of `to_verilog` and `stable_key()` for the small-CS
+/// M3D(4) SoC: every instance and net name, their order and the sink
+/// lists reach these bytes.
+#[test]
+fn generated_netlist_names_are_byte_identical() {
+    let mut nl = Netlist::new("soc_m3d4");
+    let cfg = SocConfig {
+        cs: small_cs(),
+        ..SocConfig::m3d(4)
+    };
+    accelerator_soc(&mut nl, &cfg).unwrap();
+    let mut h = StableHasher::new();
+    h.write(to_verilog(&nl).as_bytes());
+    assert_eq!(
+        format!("{:016x}", h.finish()),
+        "cab4b6228426c7f4",
+        "to_verilog bytes moved"
+    );
+    assert_eq!(
+        format!("{:016x}", nl.stable_key()),
+        "7072493d1f8c047b",
+        "stable_key moved"
     );
 }

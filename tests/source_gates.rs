@@ -41,6 +41,10 @@ const RETIRED: &[&str] = &[
     // `FetchOpts` knobs nobody set.
     "uncoalesced",
     ".cold()",
+    // Per-name `String`s sized twice, and the id-remapping merge: names
+    // live in the netlist's one buffer, and CSs are stamped by `append`.
+    "exact_string",
+    "absorb(",
 ];
 
 /// `FlowCache` shims that must not regrow in `engine/cache.rs`.
