@@ -30,7 +30,9 @@
 //! * [`parallel`] — a scoped-thread sweep executor ([`parallel::par_map`])
 //!   that fans independent design points across cores, honouring the
 //!   `M3D_JOBS` environment variable, with output ordering (and therefore
-//!   every downstream number) independent of the worker count;
+//!   every downstream number) independent of the worker count; a thread
+//!   that is already one of a fixed set of workers
+//!   ([`parallel::as_worker`]) runs its sweeps on itself;
 //! * [`report`] — the [`report::ExperimentReport`] envelope serialised by
 //!   the bench binaries' `--json` flag, byte-reproducible across runs.
 
@@ -45,7 +47,7 @@ pub mod store;
 pub use cache::{CacheStats, FetchOpts, FlowCache, FlowFetch};
 pub use corners::{corner_sweep, CornerRun};
 pub use inflight::{Flight, InFlight};
-pub use parallel::{jobs, par_map, par_map_jobs};
+pub use parallel::{as_worker, jobs, par_map, par_map_jobs};
 pub use report::{ExperimentReport, StageRecord};
 pub use stage::{Pipeline, Stage, StageCtx};
 pub use store::{DiskStore, StoredEnvelope};

@@ -21,7 +21,16 @@
 //!
 //! No external thread-pool crate is used; plain scoped threads are
 //! enough once claiming is this cheap.
+//!
+//! A thread that is already one of a fixed set of workers sharing the
+//! machine's cores — an `m3d-serve` request worker, or one of
+//! [`par_map_jobs`]'s own scoped workers — runs every [`par_map`] on
+//! itself (see [`as_worker`]). Fanning out from there would only
+//! oversubscribe the cores those workers already fill: a server
+//! request pays a thread spawn per sweep, and a nested sweep spawns
+//! `jobs²` threads. The result is the same either way.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::obs::{Recorder, DEPTH_EDGES};
@@ -43,14 +52,37 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Maps `f` over `items` using [`jobs`] workers. See [`par_map_jobs`].
+thread_local! {
+    /// Set while the thread runs inside [`as_worker`].
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with the calling thread marked as one of a fixed set of
+/// workers that share the machine's cores, so every [`par_map`] inside
+/// `f` runs on this thread. The previous mark is restored when `f`
+/// returns or unwinds.
+pub fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
+    f()
+}
+
+/// Maps `f` over `items` using [`jobs`] workers, or on the calling
+/// thread alone when it runs inside [`as_worker`]. See
+/// [`par_map_jobs`].
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_jobs(jobs(), items, f)
+    let jobs = if IN_WORKER.with(Cell::get) { 1 } else { jobs() };
+    par_map_jobs(jobs, items, f)
 }
 
 /// Claims the next chunk `[start, end)` of `n` items from `cursor`,
@@ -76,7 +108,8 @@ fn claim_chunk(cursor: &AtomicUsize, n: usize, jobs: usize) -> Option<(usize, us
 ///
 /// Results are returned in input order regardless of which worker
 /// computed which chunk; `jobs == 1` (or a single item) degenerates to a
-/// plain serial map on the calling thread.
+/// plain serial map on the calling thread. Each spawned worker runs its
+/// chunks inside [`as_worker`], so a nested [`par_map`] stays on it.
 ///
 /// # Panics
 ///
@@ -106,14 +139,16 @@ where
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut out = Vec::new();
-                    while let Some((start, end)) = claim_chunk(cursor, n, jobs) {
-                        chunks.fetch_add(1, Ordering::Relaxed);
-                        for i in start..end {
-                            out.push((i, f(&items[i])));
+                    as_worker(|| {
+                        let mut out = Vec::new();
+                        while let Some((start, end)) = claim_chunk(cursor, n, jobs) {
+                            chunks.fetch_add(1, Ordering::Relaxed);
+                            for i in start..end {
+                                out.push((i, f(&items[i])));
+                            }
                         }
-                    }
-                    out
+                        out
+                    })
                 })
             })
             .collect();
@@ -165,6 +200,60 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
         assert!(seen.lock().unwrap().len() > 1, "expected >1 worker thread");
+    }
+
+    #[test]
+    fn par_map_inside_a_worker_runs_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let seen = Mutex::new(HashSet::new());
+        let items: Vec<u32> = (0..64).collect();
+        let out = as_worker(|| {
+            par_map(&items, |x| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                x * 3
+            })
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 1, "expected the calling thread alone");
+        assert!(seen.contains(&std::thread::current().id()));
+        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nested_par_map_runs_on_the_item_worker_thread() {
+        let outer: Vec<u64> = (0..16).collect();
+        let inner: Vec<u64> = (0..32).collect();
+        let rows = par_map_jobs(4, &outer, |&o| {
+            let me = std::thread::current().id();
+            let row = par_map(&inner, |&i| (std::thread::current().id(), o * 100 + i));
+            assert!(
+                row.iter().all(|(t, _)| *t == me),
+                "nested sweep left its worker"
+            );
+            row.into_iter().map(|(_, v)| v).collect::<Vec<_>>()
+        });
+        let expect: Vec<Vec<u64>> = outer
+            .iter()
+            .map(|o| inner.iter().map(|i| o * 100 + i).collect())
+            .collect();
+        assert_eq!(rows, expect);
+    }
+
+    #[test]
+    fn worker_mark_is_restored_on_return_and_on_unwind() {
+        let marked = || IN_WORKER.with(Cell::get);
+        assert!(!marked());
+        as_worker(|| {
+            assert!(marked());
+            as_worker(|| assert!(marked()));
+            assert!(marked(), "an inner as_worker must not clear the outer mark");
+        });
+        assert!(!marked());
+        let caught = std::panic::catch_unwind(|| as_worker(|| panic!("inside a worker")));
+        assert!(caught.is_err());
+        assert!(!marked(), "the mark must not outlive a panic");
     }
 
     #[test]

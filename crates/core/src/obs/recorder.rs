@@ -76,18 +76,25 @@ impl Recorder {
     /// monotonic counters — a gauge moves both ways: queue depth,
     /// in-flight requests, live replica count).
     pub fn gauge_set(&self, name: &str, value: i64) {
-        self.gauges
-            .lock()
-            .expect("gauges poisoned")
-            .insert(name.to_owned(), value);
+        let mut gauges = self.gauges.lock().expect("gauges poisoned");
+        match gauges.get_mut(name) {
+            Some(g) => *g = value,
+            None => {
+                gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Adds `delta` (possibly negative) to gauge `name`, creating it at
     /// 0 first. Saturates instead of wrapping.
     pub fn gauge_add(&self, name: &str, delta: i64) {
         let mut gauges = self.gauges.lock().expect("gauges poisoned");
-        let slot = gauges.entry(name.to_owned()).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        match gauges.get_mut(name) {
+            Some(g) => *g = g.saturating_add(delta),
+            None => {
+                gauges.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Current value of gauge `name` (0 when never set).
@@ -104,10 +111,14 @@ impl Recorder {
     /// on first use. The edges of an existing histogram are not changed.
     pub fn observe(&self, name: &str, value: u64, edges: &'static [u64]) {
         let mut hists = self.hists.lock().expect("histograms poisoned");
-        hists
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(edges))
-            .observe(value);
+        match hists.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::new(edges);
+                h.observe(value);
+                hists.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// Total samples histogram `name` has seen (0 when absent).

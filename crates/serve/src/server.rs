@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use m3d_bench::registry::{self, CaseCtx};
-use m3d_core::engine::{Flight, FlowCache, InFlight, Pipeline};
+use m3d_core::engine::{as_worker, Flight, FlowCache, InFlight, Pipeline};
 use m3d_core::obs::{
     Provenance, Recorder, SpanNode, StitchedTrace, TraceContext, TraceFilter, TraceSink,
 };
@@ -51,7 +51,9 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Handle::addr`]).
     pub addr: String,
-    /// Worker threads executing cases.
+    /// Worker threads executing cases: the server's parallelism. Each
+    /// worker runs its request's sweeps ([`m3d_core::engine::par_map`])
+    /// on its own thread, whatever `M3D_JOBS` says.
     pub workers: usize,
     /// Bounded queue depth; pushes beyond it are refused with 429.
     pub queue_depth: usize,
@@ -315,7 +317,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
 /// Routes one parsed request: admin cases inline, experiment cases
 /// through the queue and worker pool.
 fn dispatch(shared: &Arc<Shared>, req: Request, scrapes: &mut ScrapeGate) -> Response {
-    match req.case.as_str() {
+    let case = match req.case.as_str() {
         CASE_PING => {
             return admin_ok(
                 &req,
@@ -405,25 +407,16 @@ fn dispatch(shared: &Arc<Shared>, req: Request, scrapes: &mut ScrapeGate) -> Res
                     retry_after_ms: None,
                 };
             }
-            Some(case) => {
-                // Typed-params validation up front: a malformed request
-                // is rejected before it occupies a queue slot or worker.
-                if let Err(e) = case.validate(req.quick, &req.params) {
-                    shared.metrics.bump("rejected");
-                    return Response::Err {
-                        id: req.id,
-                        code: e.code,
-                        error: e.message,
-                        retry_after_ms: None,
-                    };
-                }
-            }
+            Some(case) => case,
         },
-    }
+    };
 
     let born = Instant::now();
     let key = req.key();
-    // Fast path: an identical request already completed.
+    // Fast path: an identical request already completed. Only requests
+    // that validated are cached, and the key covers the case, `quick`
+    // and the canonical params, so a hit needs no re-validation (for
+    // `ingest` that would be a full parse of the upload).
     if let Some(done) = shared
         .responses
         .lock()
@@ -433,6 +426,17 @@ fn dispatch(shared: &Arc<Shared>, req: Request, scrapes: &mut ScrapeGate) -> Res
         let done = Arc::clone(done);
         let trace = finish_request(shared, &req, key, born, Provenance::CacheHit, &[]);
         return ok_envelope(&req, key, done, true, false, trace);
+    }
+    // Typed-params validation before queueing: a malformed request is
+    // rejected before it occupies a queue slot or worker.
+    if let Err(e) = case.validate(req.quick, &req.params) {
+        shared.metrics.bump("rejected");
+        return Response::Err {
+            id: req.id,
+            code: e.code,
+            error: e.message,
+            retry_after_ms: None,
+        };
     }
 
     let timeout = req
@@ -629,11 +633,15 @@ fn finish_request(
     })
 }
 
+/// The workers already fill the cores, so each runs its request's
+/// sweeps on its own thread instead of spawning more.
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        let resp = execute(shared, &job);
-        job.slot.fulfill(resp);
-    }
+    as_worker(|| {
+        while let Some(job) = shared.queue.pop() {
+            let resp = execute(shared, &job);
+            job.slot.fulfill(resp);
+        }
+    });
 }
 
 /// Runs one dequeued job under deadline, response-cache and

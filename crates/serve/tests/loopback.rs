@@ -361,6 +361,50 @@ fn metrics_round_trip_counts_every_outcome() {
     handle.wait();
 }
 
+/// A one-inverter design, small enough for a quick flow.
+const INVERTER_EDIF: &str = "(edif demo (library work (cell top (view net (interface \
+    (port a (direction INPUT)) (port y (direction OUTPUT))) (contents (instance u1 \
+    (cellRef INV_X1)) (net na (joined (portRef a) (portRef A (instanceRef u1)))) (net ny \
+    (joined (portRef Y (instanceRef u1)) (portRef y))))))) (design demo (cellRef top)))";
+
+#[test]
+fn repeated_uploads_replay_and_malformed_ones_are_still_rejected() {
+    let handle = start(1, 4);
+    let mut client = Client::connect(&handle);
+    let before = metrics(&mut client);
+    let upload = |id, source: &str| {
+        Request::new(
+            id,
+            "ingest",
+            obj(vec![("source", Value::Str(source.to_owned()))]),
+        )
+    };
+    let malformed = upload(1, "(edif broken");
+    for _ in 0..2 {
+        match client.round_trip(&malformed) {
+            Response::Err { code, error, .. } => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert!(error.contains("line 1, column"), "no position in {error:?}");
+            }
+            other => panic!("expected bad-request, got {other:?}"),
+        }
+    }
+    let first = client.round_trip(&upload(2, INVERTER_EDIF));
+    let again = client.round_trip(&upload(3, INVERTER_EDIF));
+    assert_eq!(flags(&first), (false, false), "the first upload computes");
+    assert!(flags(&again).0, "a repeated upload is a cache hit");
+    assert_eq!(result_bytes(&again), result_bytes(&first));
+
+    let after = metrics(&mut client);
+    let delta = |name: &str| counter(&after, name) - counter(&before, name);
+    assert_eq!(delta("rejected"), 2, "each malformed upload is rejected");
+    assert_eq!(delta("accepted"), 1, "only the first valid upload queued");
+    assert_eq!(delta("executed"), 1);
+    assert_eq!(delta("cache_hits"), 1);
+    handle.shutdown();
+    handle.wait();
+}
+
 #[test]
 fn shutdown_drains_queued_work_then_stops() {
     let handle = start(1, 8);

@@ -22,41 +22,6 @@ cargo test -q -p m3d-thermal
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# Trace gate: --trace-json must emit a non-empty span tree that covers
-# the pipeline stages with cache provenance, byte-identical across
-# worker counts (the trace deliberately excludes wall-clock numbers).
-M3D_JOBS=1 ./target/release/table1_resnet18 --quick --trace-json "$tmp/trace-a.json" >/dev/null 2>&1
-M3D_JOBS=8 ./target/release/table1_resnet18 --quick --trace-json "$tmp/trace-b.json" >/dev/null 2>&1
-for stage in '"arch-sim"' '"report"' '"provenance"'; do
-    if ! grep -q "$stage" "$tmp/trace-a.json"; then
-        echo "tier1: FAIL — table1_resnet18 trace is missing $stage" >&2
-        exit 1
-    fi
-done
-if ! cmp -s "$tmp/trace-a.json" "$tmp/trace-b.json"; then
-    echo "tier1: FAIL — table1_resnet18 --trace-json differs across M3D_JOBS" >&2
-    diff "$tmp/trace-a.json" "$tmp/trace-b.json" >&2 || true
-    exit 1
-fi
-
-# Metrics gate: --metrics-text must emit a well-formed Prometheus text
-# exposition carrying the engine's guaranteed counters. The grammar
-# check admits exactly `# ...` comments and `name[{le="…"}] value`
-# samples — anything else fails the run.
-./target/release/table1_resnet18 --quick --metrics-text "$tmp/metrics.prom" >/dev/null 2>&1
-for counter in '^engine_runs 1$' '^engine_stages ' '# TYPE engine_runs counter'; do
-    if ! grep -q "$counter" "$tmp/metrics.prom"; then
-        echo "tier1: FAIL — table1_resnet18 --metrics-text is missing $counter" >&2
-        cat "$tmp/metrics.prom" >&2
-        exit 1
-    fi
-done
-if grep -Evq '^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* ?.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]*"\})? [0-9]+)$' "$tmp/metrics.prom"; then
-    echo "tier1: FAIL — table1_resnet18 --metrics-text has malformed lines:" >&2
-    grep -Ev '^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* ?.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]*"\})? [0-9]+)$' "$tmp/metrics.prom" >&2
-    exit 1
-fi
-
 # Service smoke gate: boot m3d-serve on an ephemeral port, drive it
 # with deterministic loadgen mixes, assert the dedup counts (cold
 # computes all 12, the warm repeat computes 0, a 16-client identical
