@@ -11,7 +11,9 @@
 //! * [`accel`] — the Table II architecture zoo;
 //! * [`zigzag`] — a ZigZag-style mapping DSE used as the independent
 //!   cross-check of Fig. 7;
-//! * [`energy`] — the PDK-calibrated energy constants.
+//! * [`energy`] — the PDK-calibrated energy constants;
+//! * [`trace`] — the workload [`Phase`]s whose power weights drive the
+//!   thermal transient.
 //!
 //! # Quickstart
 //!
@@ -50,6 +52,6 @@ pub use systolic::{
     schedule_layer, schedule_layer_output_stationary, unique_input_words, CsGeometry, Dataflow,
     TileSchedule,
 };
-pub use trace::{trace_layer, ExecutionTrace, Interval, Phase};
+pub use trace::Phase;
 pub use workload::{Layer, LayerKind, Workload};
 pub use zigzag::{map_layer, map_workload, MapperChip, Mapping, MappingCost};

@@ -1,18 +1,10 @@
-//! Execution tracing: per-resource busy intervals (Gantt data) for one
-//! layer on a chip, with utilisation roll-ups and CSV export for
-//! external plotting.
-//!
-//! The trace exposes *why* a layer lands where it does in Table I: which
-//! CSs are idle (K-tile cap), how much of the timeline the shared bus
-//! occupies, and how weight-load slots interleave with streaming.
+//! Workload phases: what a compute sub-system is doing at a point in a
+//! layer's execution, and how hard each phase drives compute and memory
+//! power (the thermal transient's per-phase power weights).
 
 use serde::{Deserialize, Serialize};
 
-use crate::sim::{simulate_layer, ChipConfig};
-use crate::systolic::schedule_layer;
-use crate::workload::Layer;
-
-/// What a resource is doing during an interval.
+/// What a resource is doing during a stretch of a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
     /// Loading stationary weights from the RRAM bank.
@@ -28,17 +20,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Short label for CSV export.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::WeightLoad => "wload",
-            Phase::Stream => "stream",
-            Phase::FillDrain => "fill",
-            Phase::Bus => "bus",
-            Phase::Idle => "idle",
-        }
-    }
-
     /// Relative compute (Si/active-tier) power of this phase, as a
     /// fraction of peak CS power. Streaming saturates the MAC array;
     /// fill/drain keeps the array clocked but half-utilised; weight
@@ -69,180 +50,9 @@ impl Phase {
     }
 }
 
-/// One busy interval on one resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Interval {
-    /// Resource name, e.g. `"cs3"` or `"bus"`.
-    pub resource: String,
-    /// Start cycle (inclusive).
-    pub start: u64,
-    /// End cycle (exclusive).
-    pub end: u64,
-    /// Activity.
-    pub phase: Phase,
-}
-
-/// The trace of one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExecutionTrace {
-    /// Layer name.
-    pub layer: String,
-    /// Total layer cycles.
-    pub total_cycles: u64,
-    /// Busy intervals (tile loops beyond `max_tiles_detailed` are
-    /// coalesced into one summary interval per CS).
-    pub intervals: Vec<Interval>,
-    /// Fraction of `total_cycles` each CS spends busy (indexed 0..N).
-    pub cs_utilization: Vec<f64>,
-    /// Fraction of the timeline the shared bus is busy.
-    pub bus_utilization: f64,
-}
-
-impl ExecutionTrace {
-    /// Chip-level compute utilisation: mean over all CSs.
-    pub fn chip_utilization(&self) -> f64 {
-        if self.cs_utilization.is_empty() {
-            0.0
-        } else {
-            self.cs_utilization.iter().sum::<f64>() / self.cs_utilization.len() as f64
-        }
-    }
-
-    /// CSV export: `resource,start,end,phase` per row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("resource,start,end,phase\n");
-        for iv in &self.intervals {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                iv.resource,
-                iv.start,
-                iv.end,
-                iv.phase.label()
-            ));
-        }
-        out
-    }
-}
-
-/// Traces `layer` on `chip`, detailing at most `max_tiles_detailed` tile
-/// passes per CS (the rest coalesce).
-pub fn trace_layer(chip: &ChipConfig, layer: &Layer, max_tiles_detailed: u64) -> ExecutionTrace {
-    let perf = simulate_layer(chip, layer);
-    let g = &chip.geometry;
-    let n_max = perf.used_cs;
-    let k_tiles_total = layer.out_channels.div_ceil(g.cols).max(1);
-    let k_tiles_per_cs = k_tiles_total.div_ceil(n_max);
-    let cs_per_bank = chip.cs_count.div_ceil(chip.rram_banks).max(1);
-    let eff_bank = (chip.bank_port_bits / cs_per_bank).max(1);
-    let sched = schedule_layer(layer, g, k_tiles_per_cs, eff_bank);
-
-    let mut intervals = Vec::new();
-    let mut cs_util = vec![0.0f64; chip.cs_count as usize];
-    let per_tile = sched.stream_cycles + sched.fill_drain_cycles + sched.weight_load_cycles;
-    let tiles = sched.tile_passes();
-    for cs in 0..chip.cs_count {
-        let name = format!("cs{cs}");
-        if cs >= n_max {
-            intervals.push(Interval {
-                resource: name,
-                start: 0,
-                end: perf.cycles,
-                phase: Phase::Idle,
-            });
-            continue;
-        }
-        let busy = perf.compute_cycles;
-        cs_util[cs as usize] = busy as f64 / perf.cycles.max(1) as f64;
-        let detailed = tiles.min(max_tiles_detailed);
-        let mut t = 0u64;
-        for _ in 0..detailed {
-            intervals.push(Interval {
-                resource: name.clone(),
-                start: t,
-                end: t + sched.weight_load_cycles,
-                phase: Phase::WeightLoad,
-            });
-            t += sched.weight_load_cycles;
-            intervals.push(Interval {
-                resource: name.clone(),
-                start: t,
-                end: t + sched.fill_drain_cycles,
-                phase: Phase::FillDrain,
-            });
-            t += sched.fill_drain_cycles;
-            intervals.push(Interval {
-                resource: name.clone(),
-                start: t,
-                end: t + sched.stream_cycles,
-                phase: Phase::Stream,
-            });
-            t += sched.stream_cycles;
-        }
-        if tiles > detailed {
-            intervals.push(Interval {
-                resource: name.clone(),
-                start: t,
-                end: t + (tiles - detailed) * per_tile,
-                phase: Phase::Stream,
-            });
-        }
-    }
-    intervals.push(Interval {
-        resource: "bus".to_owned(),
-        start: 0,
-        end: perf.bus_cycles,
-        phase: Phase::Bus,
-    });
-
-    ExecutionTrace {
-        layer: layer.name.clone(),
-        total_cycles: perf.cycles,
-        intervals,
-        cs_utilization: cs_util,
-        bus_utilization: perf.bus_cycles as f64 / perf.cycles.max(1) as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_capped_layer_idles_half_the_css() {
-        // L1 conv: 4 K-tiles → 4 of 8 CSs idle.
-        let l = Layer::conv("L1", 64, 64, 3, (56, 56), 1);
-        let t = trace_layer(&ChipConfig::m3d(8), &l, 4);
-        let idle = t
-            .intervals
-            .iter()
-            .filter(|iv| iv.phase == Phase::Idle)
-            .count();
-        assert_eq!(idle, 4);
-        assert!(t.chip_utilization() < 0.55, "{}", t.chip_utilization());
-        assert!(t.cs_utilization[0] > 0.9, "busy CSs are nearly saturated");
-        assert_eq!(t.cs_utilization[7], 0.0);
-    }
-
-    #[test]
-    fn bus_bound_layer_shows_bus_saturation() {
-        let l = Layer::conv("DS", 64, 128, 1, (28, 28), 2);
-        let t = trace_layer(&ChipConfig::m3d(8), &l, 4);
-        assert!(t.bus_utilization > 0.95, "{}", t.bus_utilization);
-        assert!(t.chip_utilization() < 0.5, "CSs wait on the bus");
-    }
-
-    #[test]
-    fn intervals_are_well_formed_and_within_the_layer() {
-        let l = Layer::conv("L4", 512, 512, 3, (7, 7), 1);
-        let t = trace_layer(&ChipConfig::m3d(8), &l, 8);
-        for iv in &t.intervals {
-            assert!(iv.end >= iv.start, "{iv:?}");
-            assert!(iv.end <= t.total_cycles, "{iv:?} beyond {}", t.total_cycles);
-        }
-        // Detailed + coalesced intervals exist for every used CS.
-        assert!(t.intervals.iter().any(|iv| iv.resource == "cs7"));
-        assert!(t.intervals.iter().any(|iv| iv.phase == Phase::WeightLoad));
-    }
 
     #[test]
     fn phase_power_weights_are_sane() {
@@ -261,15 +71,5 @@ mod tests {
         assert_eq!(Phase::Stream.compute_weight(), 1.0);
         assert_eq!(Phase::WeightLoad.memory_weight(), 1.0);
         assert!(Phase::Idle.compute_weight() < 0.1);
-    }
-
-    #[test]
-    fn csv_export_has_one_row_per_interval() {
-        let l = Layer::conv("x", 64, 64, 3, (14, 14), 1);
-        let t = trace_layer(&ChipConfig::m3d(4), &l, 2);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), t.intervals.len() + 1);
-        assert!(csv.starts_with("resource,start,end,phase"));
-        assert!(csv.contains("bus,0,"));
     }
 }

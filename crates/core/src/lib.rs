@@ -45,7 +45,6 @@ pub mod explore;
 pub mod framework;
 pub mod obs;
 pub mod report;
-pub mod roofline;
 pub mod sensitivity;
 pub mod thermal;
 
@@ -69,7 +68,6 @@ pub use framework::{
 };
 pub use obs::{trace_document, Provenance, Recorder, SpanNode};
 pub use report::{ExperimentRecord, Metric, Row};
-pub use roofline::{Roofline, SocRoofline};
 pub use sensitivity::{
     edp_benefit_sensitivity, edp_benefit_sensitivity_pruned, Perturbation, SensitivityResult,
 };

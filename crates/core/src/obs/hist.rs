@@ -4,10 +4,10 @@
 //! an implicit overflow bucket, so a histogram serialises to *counts
 //! and bucket edges only* — no timestamps, no floating-point summary
 //! statistics — and two histograms that saw the same samples render
-//! byte-identically. Percentile summaries over raw samples live in the
-//! consumers (`m3d-loadgen` keeps its own sample vectors); the
-//! histogram is the cheap always-on aggregate a service can expose
-//! without retaining per-request state.
+//! byte-identically. Percentile summaries over raw samples are left to
+//! clients that keep their own samples; the histogram is the cheap
+//! always-on aggregate a service can expose without retaining
+//! per-request state.
 
 use serde::Value;
 

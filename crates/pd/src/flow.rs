@@ -728,29 +728,34 @@ mod tests {
 
     #[test]
     fn warm_seeded_run_is_byte_identical_to_cold() {
-        let mut cold_cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
-        cold_cfg.activity = 0.20;
-        let (cr, ca) = Rtl2GdsFlow::new(cold_cfg.clone()).run_seeded(None).unwrap();
-        assert!(!ca.warm);
+        // Quick, and the default placer effort warm-started sweeps run
+        // at, where annealing dominates the flow.
+        let full = FlowConfig::baseline_2d().with_cs(small_cs());
+        for mut cold_cfg in [full.clone().quick(), full] {
+            cold_cfg.activity = 0.20;
+            let (cr, ca) = Rtl2GdsFlow::new(cold_cfg.clone()).run_seeded(None).unwrap();
+            assert!(!ca.warm);
 
-        // A lattice neighbour: same placement key, different post-placement
-        // knobs — its seed must warm-start the target bit-for-bit.
-        let mut warm_cfg = cold_cfg.clone();
-        warm_cfg.activity = 0.25;
-        warm_cfg.opt.upsize_threshold_ns = cold_cfg.opt.upsize_threshold_ns * 0.5;
-        assert_eq!(warm_cfg.placement_key(), cold_cfg.placement_key());
-        assert_ne!(warm_cfg.stable_key(), cold_cfg.stable_key());
-        let (_, na) = Rtl2GdsFlow::new(warm_cfg).run_seeded(None).unwrap();
+            // A lattice neighbour: same placement key, different
+            // post-placement knobs — its seed must warm-start the target
+            // bit-for-bit.
+            let mut warm_cfg = cold_cfg.clone();
+            warm_cfg.activity = 0.25;
+            warm_cfg.opt.upsize_threshold_ns = cold_cfg.opt.upsize_threshold_ns * 0.5;
+            assert_eq!(warm_cfg.placement_key(), cold_cfg.placement_key());
+            assert_ne!(warm_cfg.stable_key(), cold_cfg.stable_key());
+            let (_, na) = Rtl2GdsFlow::new(warm_cfg).run_seeded(None).unwrap();
 
-        let (wr, wa) = Rtl2GdsFlow::new(cold_cfg)
-            .run_seeded(Some(na.seed))
-            .unwrap();
-        assert!(wa.warm, "matching placement key must take the warm path");
-        assert_eq!(wr, cr, "warm report == cold report");
-        assert_eq!(wa.span, ca.span, "warm span tree == cold span tree");
-        assert_eq!(wa.placement, ca.placement);
-        assert_eq!(wa.routing, ca.routing);
-        assert_eq!(wa.seed, ca.seed);
+            let (wr, wa) = Rtl2GdsFlow::new(cold_cfg)
+                .run_seeded(Some(na.seed))
+                .unwrap();
+            assert!(wa.warm, "matching placement key must take the warm path");
+            assert_eq!(wr, cr, "warm report == cold report");
+            assert_eq!(wa.span, ca.span, "warm span tree == cold span tree");
+            assert_eq!(wa.placement, ca.placement);
+            assert_eq!(wa.routing, ca.routing);
+            assert_eq!(wa.seed, ca.seed);
+        }
     }
 
     #[test]

@@ -43,9 +43,9 @@ use super::replica::{send_one, Replica, ReplicaConfig};
 use super::ring::{Ring, DEFAULT_VNODES};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    key_hex, serve_connection, Request, Response, CASE_CASES, CASE_DRAIN, CASE_HEALTH,
-    CASE_METRICS, CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES,
-    CASE_UNDRAIN,
+    key_hex, serve_connection, Request, Response, ShutdownReplies, CASE_CASES, CASE_DRAIN,
+    CASE_HEALTH, CASE_METRICS, CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS,
+    CASE_TRACES, CASE_UNDRAIN,
 };
 use crate::server::{trace_filter, ScrapeGate};
 
@@ -111,6 +111,7 @@ struct FleetShared {
     /// Round-robin cursor for admin forwards.
     rr: AtomicUsize,
     shutdown: AtomicBool,
+    shutdown_replies: ShutdownReplies,
     addr: SocketAddr,
     scrape_min_interval: Duration,
 }
@@ -181,7 +182,8 @@ impl FleetHandle {
     }
 
     /// Joins the accept loop and supervisor, then stops every replica
-    /// gracefully. Call [`FleetHandle::shutdown`] first or this blocks
+    /// gracefully; returns once the reply to a shutdown request is
+    /// written. Call [`FleetHandle::shutdown`] first or this blocks
     /// forever.
     pub fn wait(mut self) {
         if let Some(t) = self.accept.take() {
@@ -195,6 +197,7 @@ impl FleetHandle {
                 s.spawn(|| r.stop(STOP_GRACE));
             }
         });
+        self.shared.shutdown_replies.wait();
     }
 }
 
@@ -244,6 +247,7 @@ pub fn serve_fleet(cfg: &GatewayConfig) -> std::io::Result<FleetHandle> {
         traces: TraceSink::default(),
         rr: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
+        shutdown_replies: ShutdownReplies::default(),
         addr,
         scrape_min_interval: Duration::from_millis(cfg.scrape_min_interval_ms),
     });
@@ -342,7 +346,9 @@ struct ReplicaConn {
 fn handle_connection(shared: &Arc<FleetShared>, stream: TcpStream) -> std::io::Result<()> {
     let mut scrapes = ScrapeGate::new(shared.scrape_min_interval);
     let mut pool: HashMap<usize, ReplicaConn> = HashMap::new();
-    serve_connection(stream, |req| dispatch(shared, req, &mut scrapes, &mut pool))
+    serve_connection(stream, &shared.shutdown_replies, |req| {
+        dispatch(shared, req, &mut scrapes, &mut pool)
+    })
 }
 
 /// Routes one parsed request and returns the response *line* (local

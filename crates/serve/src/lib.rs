@@ -26,11 +26,11 @@
 //!   bounded backoff, transparent retry of idempotent requests, and a
 //!   shared on-disk artifact tier via `M3D_CACHE_DIR`.
 //!
-//! Binaries: `m3d-serve` (the server), `m3d-gateway` (the fleet
-//! router) and `m3d-loadgen` (a closed-loop load generator reporting
-//! throughput, latency percentiles and cache hit rates, with a
-//! deterministic `--json` artifact). See `EXPERIMENTS.md` for the wire
-//! protocol and tuning knobs.
+//! Binaries: `m3d-serve` (the server) and `m3d-gateway` (the fleet
+//! router). Drive either by hand with one JSON line per request (`nc`
+//! works); `perfbench`'s `serve_mixed` workload generates load, and
+//! the integration tests under `tests/` are the gates. See
+//! `EXPERIMENTS.md` for the wire protocol and tuning knobs.
 
 #![warn(missing_docs)]
 
@@ -41,6 +41,6 @@ pub mod queue;
 pub mod server;
 
 pub use fleet::{serve_fleet, FleetHandle, GatewayConfig};
-pub use metrics::{LatencySummary, Metrics};
+pub use metrics::Metrics;
 pub use protocol::{Request, Response};
 pub use server::{serve, Handle, ServerConfig};

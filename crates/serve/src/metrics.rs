@@ -180,53 +180,6 @@ impl Metrics {
     }
 }
 
-/// Latency percentile summary over recorded microsecond samples.
-///
-/// Used by the load generator; percentiles use the nearest-rank
-/// definition on the sorted sample set, so equal sample sets summarise
-/// identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Sample count.
-    pub count: usize,
-    /// Median (P50) in µs.
-    pub p50_us: u64,
-    /// P95 in µs.
-    pub p95_us: u64,
-    /// P99 in µs.
-    pub p99_us: u64,
-    /// Slowest sample in µs.
-    pub max_us: u64,
-}
-
-impl LatencySummary {
-    /// Summarises `samples_us` (unsorted; empty yields all zeros).
-    pub fn of(samples_us: &[u64]) -> Self {
-        if samples_us.is_empty() {
-            return Self {
-                count: 0,
-                p50_us: 0,
-                p95_us: 0,
-                p99_us: 0,
-                max_us: 0,
-            };
-        }
-        let mut sorted = samples_us.to_vec();
-        sorted.sort_unstable();
-        let rank = |p: f64| {
-            let idx = (p * sorted.len() as f64).ceil() as usize;
-            sorted[idx.clamp(1, sorted.len()) - 1]
-        };
-        Self {
-            count: sorted.len(),
-            p50_us: rank(0.50),
-            p95_us: rank(0.95),
-            p99_us: rank(0.99),
-            max_us: *sorted.last().expect("non-empty"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,18 +279,5 @@ mod tests {
         let text = m.merged_text(&global);
         assert!(text.contains("spans_recorded 1\n"), "{text}");
         assert!(text.contains("spans_dropped 0\n"), "{text}");
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        let s = LatencySummary::of(&samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50_us, 50);
-        assert_eq!(s.p95_us, 95);
-        assert_eq!(s.p99_us, 99);
-        assert_eq!(s.max_us, 100);
-        assert_eq!(LatencySummary::of(&[]).p99_us, 0);
-        assert_eq!(LatencySummary::of(&[7]).p50_us, 7);
     }
 }

@@ -15,6 +15,7 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use m3d_bench::cases::MAX_SOURCE_BYTES;
 use m3d_core::obs::TraceContext;
@@ -316,7 +317,7 @@ impl Response {
         serde_json::to_string(&v).expect("response serialises")
     }
 
-    /// Parses one NDJSON response line (the loadgen side).
+    /// Parses one NDJSON response line (the client side).
     ///
     /// # Errors
     ///
@@ -416,18 +417,69 @@ pub(crate) fn read_line_capped<'b>(
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
+/// Shutdown replies a server has taken on but not yet written. Its
+/// `wait` holds the process open until each is written, or its write
+/// has failed, so the client that asked for the drain hears back before
+/// the exit.
+#[derive(Debug, Default)]
+pub(crate) struct ShutdownReplies {
+    pending: Mutex<usize>,
+    written: Condvar,
+}
+
+impl ShutdownReplies {
+    fn take(&self) -> PendingReply<'_> {
+        *self.pending.lock().expect("shutdown replies poisoned") += 1;
+        PendingReply(self)
+    }
+
+    /// Blocks until every shutdown reply taken so far is written or its
+    /// write has failed.
+    pub(crate) fn wait(&self) {
+        let mut pending = self.pending.lock().expect("shutdown replies poisoned");
+        while *pending > 0 {
+            pending = self
+                .written
+                .wait(pending)
+                .expect("shutdown replies poisoned");
+        }
+    }
+}
+
+/// One shutdown reply in flight; dropping it marks the reply written.
+struct PendingReply<'a>(&'a ShutdownReplies);
+
+impl Drop for PendingReply<'_> {
+    fn drop(&mut self) {
+        // A count is valid after every update, so a poisoned lock's
+        // value still holds; `drop` must not panic.
+        let mut pending = self
+            .0
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *pending -= 1;
+        if *pending == 0 {
+            self.0.written.notify_all();
+        }
+    }
+}
+
 /// Serves one client connection of `m3d-serve` or `m3d-gateway`: reads
 /// request lines of at most [`MAX_LINE_BYTES`], skips blank ones, and
 /// writes one reply line per request — `answer`'s for a parsed request,
 /// `bad-request` for a malformed one. A line that cannot be framed
 /// (oversized or not UTF-8) is answered `bad-request` and ends the
-/// connection.
+/// connection. A [`CASE_SHUTDOWN`] request is booked in
+/// `shutdown_replies` before `answer` starts the drain and released
+/// once its reply is written.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors of the connection.
 pub(crate) fn serve_connection(
     stream: TcpStream,
+    shutdown_replies: &ShutdownReplies,
     mut answer: impl FnMut(Request) -> String,
 ) -> io::Result<()> {
     // Line-sized writes each wait on a delayed ACK under Nagle's
@@ -447,19 +499,26 @@ pub(crate) fn serve_connection(
     };
     let mut buf = Vec::new();
     loop {
+        let mut shutdown_reply = None;
         let (reply, last) = match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
             Ok(None) => return Ok(()),
             Ok(Some(line)) if line.trim().is_empty() => continue,
-            Ok(Some(line)) => (
-                Request::parse(line).map_or_else(bad_request, &mut answer),
-                false,
-            ),
+            Ok(Some(line)) => match Request::parse(line) {
+                Ok(req) => {
+                    if req.case == CASE_SHUTDOWN {
+                        shutdown_reply = Some(shutdown_replies.take());
+                    }
+                    (answer(req), false)
+                }
+                Err(e) => (bad_request(e), false),
+            },
             Err(e) if e.kind() == io::ErrorKind::InvalidData => (bad_request(e.to_string()), true),
             Err(e) => return Err(e),
         };
         writer.write_all(reply.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        drop(shutdown_reply);
         if last {
             return Ok(());
         }

@@ -37,8 +37,8 @@ use serde::Value;
 
 use crate::metrics::Metrics;
 use crate::protocol::{
-    key_hex, serve_connection, Request, Response, CASE_CASES, CASE_HEALTH, CASE_METRICS,
-    CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES,
+    key_hex, serve_connection, Request, Response, ShutdownReplies, CASE_CASES, CASE_HEALTH,
+    CASE_METRICS, CASE_METRICS_TEXT, CASE_PING, CASE_READY, CASE_SHUTDOWN, CASE_STATS, CASE_TRACES,
 };
 use crate::queue::{Bounded, PushError};
 
@@ -178,6 +178,7 @@ struct Shared {
     metrics: Metrics,
     traces: TraceSink,
     shutdown: AtomicBool,
+    shutdown_replies: ShutdownReplies,
     addr: SocketAddr,
     default_timeout: Duration,
     scrape_min_interval: Duration,
@@ -216,8 +217,9 @@ impl Handle {
     }
 
     /// Joins the accept loop and the worker pool; returns once queued
-    /// work has drained. Call [`Handle::shutdown`] (or send the
-    /// shutdown case) first, or this blocks forever.
+    /// work has drained and the reply to a shutdown request is written.
+    /// Call [`Handle::shutdown`] (or send the shutdown case) first, or
+    /// this blocks forever.
     pub fn wait(mut self) {
         if let Some(t) = self.accept.take() {
             t.join().expect("accept thread panicked");
@@ -225,6 +227,7 @@ impl Handle {
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
+        self.shared.shutdown_replies.wait();
     }
 }
 
@@ -246,6 +249,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<Handle> {
         metrics: Metrics::new(),
         traces: TraceSink::default(),
         shutdown: AtomicBool::new(false),
+        shutdown_replies: ShutdownReplies::default(),
         addr,
         default_timeout: Duration::from_millis(cfg.default_timeout_ms.clamp(1, 3_600_000)),
         scrape_min_interval: Duration::from_millis(cfg.scrape_min_interval_ms),
@@ -311,7 +315,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// concurrency comes from concurrent connections.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
     let mut scrapes = ScrapeGate::new(shared.scrape_min_interval);
-    serve_connection(stream, |req| dispatch(shared, req, &mut scrapes).to_line())
+    serve_connection(stream, &shared.shutdown_replies, |req| {
+        dispatch(shared, req, &mut scrapes).to_line()
+    })
 }
 
 /// Routes one parsed request: admin cases inline, experiment cases
@@ -679,7 +685,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
         let case = registry::find(&job.req.case).expect("checked at dispatch");
         case.run(&ctx, job.req.quick, &job.req.params)
             .map(|outcome| {
-                Arc::new(Computed {
+                let done = Arc::new(Computed {
                     result: outcome.result,
                     deep_hit: outcome.cache_hit,
                     spans: pipeline
@@ -687,7 +693,16 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
                         .expect("pipeline poisoned")
                         .spans()
                         .to_vec(),
-                })
+                });
+                // Cached before the key leaves flight: a request that
+                // arrives once the followers are released must find it
+                // here rather than lead a second computation.
+                shared
+                    .responses
+                    .lock()
+                    .expect("responses poisoned")
+                    .insert(job.key, Arc::clone(&done));
+                done
             })
     });
     match flown {
@@ -700,11 +715,6 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
                 Provenance::Computed,
                 &done.spans,
             );
-            shared
-                .responses
-                .lock()
-                .expect("responses poisoned")
-                .insert(job.key, Arc::clone(&done));
             let deep_hit = done.deep_hit;
             ok_envelope(&job.req, job.key, done, deep_hit, false, trace)
         }

@@ -1,8 +1,9 @@
 //! In-process loopback tests: a real server on an ephemeral port, real
 //! TCP clients, the full dispatch → queue → worker → cache path.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+mod common;
+
+use std::io::{BufRead, Write};
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -11,39 +12,7 @@ use m3d_serve::protocol::{Request, Response, MAX_LINE_BYTES};
 use m3d_serve::{serve, Handle, ServerConfig};
 use serde::Value;
 
-/// One persistent client connection.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(handle: &Handle) -> Self {
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        Self {
-            writer: stream.try_clone().expect("clone"),
-            reader: BufReader::new(stream),
-        }
-    }
-
-    fn round_trip_line(&mut self, line: &str) -> Response {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send");
-        self.writer.flush().expect("flush");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("receive");
-        Response::parse(reply.trim()).expect("valid response line")
-    }
-
-    fn round_trip(&mut self, req: &Request) -> Response {
-        self.round_trip_line(&req.to_line())
-    }
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
+use common::{obj, Client};
 
 fn start(workers: usize, queue_depth: usize) -> Handle {
     serve(&ServerConfig {
@@ -74,7 +43,7 @@ fn flags(resp: &Response) -> (bool, bool) {
 }
 
 fn stats(handle: &Handle) -> Value {
-    match Client::connect(handle).round_trip_line(r#"{"case":"stats"}"#) {
+    match Client::connect(handle.addr()).round_trip_line(r#"{"case":"stats"}"#) {
         Response::Ok { result, .. } => result,
         other => panic!("stats failed: {other:?}"),
     }
@@ -91,7 +60,7 @@ fn concurrent_identical_requests_execute_one_flow() {
             .map(|_| {
                 let (handle, req, gate) = (&handle, &req, &gate);
                 s.spawn(move || {
-                    let mut client = Client::connect(handle);
+                    let mut client = Client::connect(handle.addr());
                     gate.wait();
                     client.round_trip(req)
                 })
@@ -126,7 +95,7 @@ fn concurrent_identical_requests_execute_one_flow() {
 #[test]
 fn distinct_requests_compute_and_repeats_hit_the_cache() {
     let handle = start(2, 16);
-    let mut client = Client::connect(&handle);
+    let mut client = Client::connect(handle.addr());
     let a = Request::new(
         1,
         "sensitivity",
@@ -145,7 +114,7 @@ fn distinct_requests_compute_and_repeats_hit_the_cache() {
 
     // Same key again — from a different connection, with fields in a
     // different order — replays from the response cache.
-    let mut other = Client::connect(&handle);
+    let mut other = Client::connect(handle.addr());
     let shuffled = r#"{"params":{"seed":1,"samples":40},"case":"sensitivity","id":9}"#;
     let again = other.round_trip_line(shuffled);
     assert_eq!(flags(&again).0, true, "repeat must be a cache hit");
@@ -166,11 +135,11 @@ fn overload_is_rejected_with_retry_hint_not_dropped() {
         )
     };
     std::thread::scope(|s| {
-        let running = s.spawn(|| Client::connect(&handle).round_trip(&sleep(1)));
+        let running = s.spawn(|| Client::connect(handle.addr()).round_trip(&sleep(1)));
         std::thread::sleep(Duration::from_millis(150)); // worker busy on #1
-        let queued = s.spawn(|| Client::connect(&handle).round_trip(&sleep(2)));
+        let queued = s.spawn(|| Client::connect(handle.addr()).round_trip(&sleep(2)));
         std::thread::sleep(Duration::from_millis(150)); // queue holds #2
-        let refused = Client::connect(&handle).round_trip(&sleep(3));
+        let refused = Client::connect(handle.addr()).round_trip(&sleep(3));
         match refused {
             Response::Err {
                 code,
@@ -199,7 +168,7 @@ fn queued_past_its_deadline_returns_408() {
     let handle = start(1, 4);
     std::thread::scope(|s| {
         let blocker = s.spawn(|| {
-            Client::connect(&handle).round_trip(&Request::new(
+            Client::connect(handle.addr()).round_trip(&Request::new(
                 1,
                 "sleep",
                 obj(vec![("ms", Value::U64(500)), ("tag", Value::U64(1))]),
@@ -212,7 +181,7 @@ fn queued_past_its_deadline_returns_408() {
             obj(vec![("ms", Value::U64(10)), ("tag", Value::U64(2))]),
         );
         impatient.timeout_ms = Some(50);
-        let resp = Client::connect(&handle).round_trip(&impatient);
+        let resp = Client::connect(handle.addr()).round_trip(&impatient);
         match resp {
             Response::Err { code, .. } => assert_eq!(code, ErrorCode::Deadline),
             other => panic!("expected deadline, got {other:?}"),
@@ -226,7 +195,7 @@ fn queued_past_its_deadline_returns_408() {
 #[test]
 fn bad_lines_and_unknown_cases_answer_without_closing() {
     let handle = start(1, 4);
-    let mut client = Client::connect(&handle);
+    let mut client = Client::connect(handle.addr());
     match client.round_trip_line("this is not json") {
         Response::Err { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
         other => panic!("expected bad-request, got {other:?}"),
@@ -251,7 +220,7 @@ fn bad_lines_and_unknown_cases_answer_without_closing() {
 #[test]
 fn oversized_request_lines_are_refused_and_the_server_keeps_serving() {
     let handle = start(1, 4);
-    let mut client = Client::connect(&handle);
+    let mut client = Client::connect(handle.addr());
     // One byte past the cap and no newline: the server must answer
     // instead of buffering until it runs out of memory.
     client
@@ -272,7 +241,7 @@ fn oversized_request_lines_are_refused_and_the_server_keeps_serving() {
     reply.clear();
     assert_eq!(client.reader.read_line(&mut reply).expect("clean EOF"), 0);
     // ...and keeps serving fresh connections.
-    let ping = Client::connect(&handle).round_trip_line(r#"{"case":"ping"}"#);
+    let ping = Client::connect(handle.addr()).round_trip_line(r#"{"case":"ping"}"#);
     assert_eq!(ping.status(), 200);
     handle.shutdown();
     handle.wait();
@@ -297,7 +266,7 @@ fn metrics(client: &mut Client) -> Value {
 #[test]
 fn metrics_round_trip_counts_every_outcome() {
     let handle = start(2, 16);
-    let mut client = Client::connect(&handle);
+    let mut client = Client::connect(handle.addr());
 
     let before = metrics(&mut client);
     // The snapshot has the full recorder shape even on a fresh server.
@@ -306,8 +275,7 @@ fn metrics_round_trip_counts_every_outcome() {
     assert!(before.get("spans").is_some());
 
     // Two distinct computations, then both replayed from the response
-    // cache — the same request stream `m3d-loadgen --expect-computed 2`
-    // would verify from the client side.
+    // cache, tallied from the client side as the gate mixes are.
     let mut computed = 0;
     let mut reused = 0;
     for id in 0..4u64 {
@@ -370,7 +338,7 @@ const INVERTER_EDIF: &str = "(edif demo (library work (cell top (view net (inter
 #[test]
 fn repeated_uploads_replay_and_malformed_ones_are_still_rejected() {
     let handle = start(1, 4);
-    let mut client = Client::connect(&handle);
+    let mut client = Client::connect(handle.addr());
     let before = metrics(&mut client);
     let upload = |id, source: &str| {
         Request::new(
@@ -410,7 +378,7 @@ fn shutdown_drains_queued_work_then_stops() {
     let handle = start(1, 8);
     std::thread::scope(|s| {
         let in_flight = s.spawn(|| {
-            Client::connect(&handle).round_trip(&Request::new(
+            Client::connect(handle.addr()).round_trip(&Request::new(
                 1,
                 "sleep",
                 obj(vec![("ms", Value::U64(300)), ("tag", Value::U64(1))]),
@@ -418,14 +386,14 @@ fn shutdown_drains_queued_work_then_stops() {
         });
         let queued = s.spawn(|| {
             std::thread::sleep(Duration::from_millis(80));
-            Client::connect(&handle).round_trip(&Request::new(
+            Client::connect(handle.addr()).round_trip(&Request::new(
                 2,
                 "sleep",
                 obj(vec![("ms", Value::U64(50)), ("tag", Value::U64(2))]),
             ))
         });
         std::thread::sleep(Duration::from_millis(160));
-        let mut admin = Client::connect(&handle);
+        let mut admin = Client::connect(handle.addr());
         assert_eq!(
             admin.round_trip_line(r#"{"case":"shutdown"}"#).status(),
             200
@@ -454,7 +422,7 @@ fn metrics_scrapes_are_rate_limited_per_connection() {
     })
     .expect("server starts");
 
-    let mut fast = Client::connect(&handle);
+    let mut fast = Client::connect(handle.addr());
     assert_eq!(fast.round_trip_line(r#"{"case":"metrics"}"#).status(), 200);
     // A second scrape inside the interval is shed with a retry hint —
     // `metrics_text` shares the same per-connection gate.
@@ -472,7 +440,7 @@ fn metrics_scrapes_are_rate_limited_per_connection() {
     assert!(wait_ms > 0 && wait_ms <= 150, "hint {wait_ms} out of range");
 
     // The gate is per connection: a fresh connection scrapes at once.
-    let mut other = Client::connect(&handle);
+    let mut other = Client::connect(handle.addr());
     assert_eq!(other.round_trip_line(r#"{"case":"metrics"}"#).status(), 200);
 
     // Sleeping out the hint readmits the scrape, and the shed scrape
@@ -500,7 +468,7 @@ fn metrics_scrapes_are_rate_limited_per_connection() {
 #[test]
 fn health_and_ready_track_the_drain() {
     let handle = start(1, 4);
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
 
     match c.round_trip_line(r#"{"case":"health"}"#) {
         Response::Ok { result, .. } => {

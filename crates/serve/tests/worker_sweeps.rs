@@ -4,67 +4,22 @@
 //! so the engine recorder its `metrics_text` exposes has seen only the
 //! requests sent here.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
 
-use m3d_serve::protocol::Response;
+use std::process::Command;
+
+use common::{request_shutdown, sample, Client, Spawned};
 use serde::Value;
-
-/// Kills the server if the test fails before it shuts down cleanly.
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn sample(text: &str, series: &str) -> u64 {
-    text.lines()
-        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
-        .unwrap_or_else(|| panic!("no `{series}` sample in:\n{text}"))
-        .parse()
-        .expect("integer sample")
-}
 
 #[test]
 fn sweeps_inside_server_workers_run_on_the_worker_thread() {
-    let mut server = Server(
+    let server = Spawned::start(
         Command::new(env!("CARGO_BIN_EXE_m3d-serve"))
             .args(["--addr", "127.0.0.1:0", "--workers", "2"])
-            .env("M3D_JOBS", "4")
-            .env_remove("M3D_CACHE_DIR")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("m3d-serve starts"),
+            .env("M3D_JOBS", "4"),
     );
-    let mut announce = String::new();
-    BufReader::new(server.0.stdout.take().expect("piped stdout"))
-        .read_line(&mut announce)
-        .expect("bind announcement");
-    let addr = match serde_json::from_str_value(announce.trim()) {
-        Ok(v) => match v.get("listening") {
-            Some(Value::Str(addr)) => addr.clone(),
-            _ => panic!("unexpected announcement {announce:?}"),
-        },
-        Err(e) => panic!("unparsable announcement {announce:?}: {e}"),
-    };
-
-    let stream = TcpStream::connect(&addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let mut call = |line: String| -> Value {
-        writeln!(writer, "{line}").expect("send");
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("receive");
-        match Response::parse(reply.trim()).expect("response line") {
-            Response::Ok { result, .. } => result,
-            Response::Err { code, error, .. } => panic!("{line} failed: {code}: {error}"),
-        }
-    };
+    let mut client = Client::connect(server.addr);
+    let mut call = |line: String| -> Value { client.result(&line) };
 
     let mut requests = Vec::new();
     for seed in 1..=6 {
@@ -97,9 +52,7 @@ fn sweeps_inside_server_workers_run_on_the_worker_thread() {
         "a sweep inside a server worker fanned out:\n{text}"
     );
 
-    // The process may exit before the shutdown reply reaches the
-    // socket, so only its exit status is checked.
-    writeln!(writer, r#"{{"case":"shutdown"}}"#).expect("send");
-    let status = server.0.wait().expect("server exits");
+    request_shutdown(server.addr);
+    let status = server.wait();
     assert!(status.success(), "m3d-serve drained with {status}");
 }

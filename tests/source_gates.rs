@@ -45,6 +45,16 @@ const RETIRED: &[&str] = &[
     // live in the netlist's one buffer, and CSs are stamped by `append`.
     "exact_string",
     "absorb(",
+    // The load generator, whose gates are `cargo test`s now, its
+    // percentile summary, and the warm-start bench's JSON writer.
+    "m3d-loadgen",
+    "LatencySummary",
+    "M3D_BENCH_WARMSTART_JSON",
+    // Modules nothing reached: the Gables rooflines and the per-layer
+    // execution traces (`m3d_arch::trace` keeps only `Phase`).
+    "SocRoofline",
+    "trace_layer",
+    "ExecutionTrace",
 ];
 
 /// `FlowCache` shims that must not regrow in `engine/cache.rs`.
