@@ -47,12 +47,6 @@ impl EnergyModel {
     pub fn static_pj_per_cycle(&self, cs_count: u32) -> f64 {
         (self.cs_static_mw * f64::from(cs_count) + self.rram_static_mw) * self.cycle_ns
     }
-
-    /// Idle energy of one CS for one cycle, in pJ (the `E_C^idle` of the
-    /// analytical framework).
-    pub fn cs_idle_pj_per_cycle(&self) -> f64 {
-        self.cs_static_mw * self.cycle_ns
-    }
 }
 
 impl Default for EnergyModel {
@@ -80,7 +74,7 @@ mod tests {
         let eight = e.static_pj_per_cycle(8);
         assert!(eight > one);
         // 8 CSs leak 8× the CS share but the RRAM share is constant.
-        let cs_share = e.cs_idle_pj_per_cycle();
+        let cs_share = e.cs_static_mw * e.cycle_ns;
         assert!((eight - one - 7.0 * cs_share).abs() < 1e-9);
     }
 }

@@ -71,11 +71,6 @@ impl ChipConfig {
         }
     }
 
-    /// Total memory bandwidth in bits/cycle (`B` of the framework).
-    pub fn total_bandwidth(&self) -> u64 {
-        u64::from(self.rram_banks) * u64::from(self.bank_port_bits)
-    }
-
     /// Chip peak MACs/cycle.
     pub fn peak_ops(&self) -> u64 {
         u64::from(self.cs_count) * self.geometry.peak_ops()
@@ -292,8 +287,6 @@ mod tests {
     fn chip_configs() {
         let c2 = ChipConfig::baseline_2d();
         let c3 = ChipConfig::m3d(8);
-        assert_eq!(c2.total_bandwidth(), 256);
-        assert_eq!(c3.total_bandwidth(), 2048);
         assert_eq!(c2.peak_ops(), 256);
         assert_eq!(c3.peak_ops(), 2048);
     }

@@ -72,11 +72,6 @@ impl TileSchedule {
             * u64::from(self.positions)
             * (self.stream_cycles + self.fill_drain_cycles + self.weight_load_cycles)
     }
-
-    /// Total tile passes.
-    pub fn tile_passes(&self) -> u64 {
-        u64::from(self.k_tiles) * u64::from(self.c_tiles) * u64::from(self.positions)
-    }
 }
 
 /// Builds the tile schedule for `layer` on one CS that owns
@@ -188,7 +183,6 @@ mod tests {
         assert_eq!(s.fill_drain_cycles, 32);
         assert_eq!(s.weight_load_cycles, 8);
         assert_eq!(s.total_cycles(), 4 * 32 * 9 * (49 + 32 + 8));
-        assert_eq!(s.tile_passes(), 4 * 32 * 9);
     }
 
     #[test]

@@ -132,17 +132,6 @@ impl Layer {
         self.weights() * u64::from(bits)
     }
 
-    /// Input activation words streamed for this layer (each output pixel
-    /// consumes a `C × k × k` patch; patches are re-read per output-pixel
-    /// tile in the weight-stationary dataflow).
-    pub fn input_words(&self) -> u64 {
-        u64::from(self.in_channels)
-            * u64::from(self.kernel)
-            * u64::from(self.kernel)
-            * u64::from(self.out_w)
-            * u64::from(self.out_h)
-    }
-
     /// Output activation words written.
     pub fn output_words(&self) -> u64 {
         u64::from(self.out_channels) * u64::from(self.out_w) * u64::from(self.out_h)
@@ -168,11 +157,6 @@ impl Layer {
     /// groups can run on different CSs without cross-CS accumulation.
     pub fn max_partitions(&self, array_cols: u32) -> u32 {
         self.out_channels.div_ceil(array_cols).max(1)
-    }
-
-    /// Arithmetic intensity: operations per weight bit.
-    pub fn ops_per_weight_bit(&self, bits: u32) -> f64 {
-        self.ops() as f64 / self.weight_bits(bits).max(1) as f64
     }
 }
 
@@ -218,6 +202,11 @@ mod tests {
         Layer::conv("L4.0 CONV2", 512, 512, 3, (7, 7), 1)
     }
 
+    /// Arithmetic intensity: operations per 8-bit weight bit.
+    fn ops_per_weight_bit(l: &Layer) -> f64 {
+        l.ops() as f64 / l.weight_bits(8) as f64
+    }
+
     #[test]
     fn macs_and_weights() {
         let l = l4_conv();
@@ -258,9 +247,9 @@ mod tests {
     fn intensity_distinguishes_conv_from_fc() {
         let conv = l4_conv();
         let fc = Layer::fc("FC", 512, 1000);
-        assert!(conv.ops_per_weight_bit(8) > fc.ops_per_weight_bit(8));
+        assert!(ops_per_weight_bit(&conv) > ops_per_weight_bit(&fc));
         // FC reads each weight once: 1 MAC per weight = 1/8 ops per bit.
-        assert!((fc.ops_per_weight_bit(8) - 0.125).abs() < 1e-12);
+        assert!((ops_per_weight_bit(&fc) - 0.125).abs() < 1e-12);
     }
 
     #[test]
@@ -273,7 +262,7 @@ mod tests {
         assert_eq!(dense.macs(), dw.macs() * 512);
         // Depthwise arithmetic intensity (ops per weight bit) matches a
         // dense conv on the same map: both do OX·OY MACs per weight.
-        assert!((dw.ops_per_weight_bit(8) - dense.ops_per_weight_bit(8)).abs() < 1e-12);
+        assert!((ops_per_weight_bit(&dw) - ops_per_weight_bit(&dense)).abs() < 1e-12);
         assert_eq!(dw.max_partitions(16), 32);
     }
 

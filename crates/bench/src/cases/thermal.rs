@@ -10,7 +10,7 @@
 use m3d_arch::trace::Phase;
 use m3d_core::cases::BaselineAreas;
 use m3d_core::engine::{par_map, FetchOpts, Stage};
-use m3d_core::thermal::{ThermalModel, TierThermalModel};
+use m3d_core::thermal::ThermalModel;
 use m3d_pd::FlowConfig;
 use m3d_tech::LayerStack;
 use m3d_thermal::{

@@ -26,7 +26,7 @@ use m3d_core::explore::{capacity_sweep, tier_sweep};
 use m3d_core::framework::{ChipParams, WorkloadPoint};
 use m3d_core::sensitivity::{edp_benefit_sensitivity, Perturbation};
 use m3d_core::thermal::ThermalModel;
-use m3d_core::{ErrorCode, TierThermalModel};
+use m3d_core::ErrorCode;
 use m3d_netlist::CsConfig;
 use m3d_pd::FlowConfig;
 use m3d_tech::{LayerStack, Pdk};
@@ -541,8 +541,8 @@ impl Case for TierSweepCase {
         )];
         let (whole, layer) = ctx.stage(Stage::ArchSim, "", |_| {
             (
-                tier_sweep(&areas, &base, &resnet_points(), p.max_pairs, None),
-                tier_sweep(&areas, &base, &layer_points, p.max_pairs, None),
+                tier_sweep(&areas, &base, &resnet_points(), p.max_pairs),
+                tier_sweep(&areas, &base, &layer_points, p.max_pairs),
             )
         });
         let last_edp =

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use m3d_pd::{under_array_usable_area, FlowReport};
+use m3d_pd::under_array_usable_area;
 use m3d_tech::{Pdk, RramMacro, SelectorTech};
 
 use crate::error::{CoreError, CoreResult};
@@ -72,20 +72,6 @@ impl DesignPoint {
             array_mm2: array,
             gamma_cells: array / cs_demand_mm2,
         })
-    }
-
-    /// Derives the design point from a 2D baseline [`FlowReport`] (the
-    /// physical-design route, using the measured `A_C`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DesignPoint::derive`].
-    pub fn from_flow_report(
-        pdk: &Pdk,
-        report: &FlowReport,
-        rram_2d: &RramMacro,
-    ) -> CoreResult<Self> {
-        Self::derive(pdk, rram_2d, report.cs_demand_mm2)
     }
 
     /// Analytical chip parameters for this design point (bandwidth

@@ -216,7 +216,6 @@ mod tests {
         let span = &pipe.spans()[0];
         assert!(!StageRecord::from_span(span).cache_hit);
         assert_eq!(span.provenance, Provenance::Coalesced);
-        assert!(span.provenance.is_reuse());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use m3d_arch::{compare, models, ChipConfig, Workload};
+use m3d_arch::{compare, ChipConfig, Workload};
 use m3d_tech::{Pdk, RramMacro, SelectorTech};
 
 use crate::cases::{case3_tiers, BaselineAreas, TierPoint};
@@ -13,7 +13,6 @@ use crate::design_point::{case_study_design_point, DesignPoint, CASE_STUDY_CS_DE
 use crate::engine::par_map;
 use crate::error::CoreResult;
 use crate::framework::{workload_edp_benefit, ChipParams, WorkloadPoint};
-use crate::thermal::TierThermalModel;
 
 /// One cell of the Fig. 8 grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -109,24 +108,17 @@ pub fn capacity_sweep(
     .collect()
 }
 
-/// Sweeps interleaved tier pairs, optionally capped by a thermal budget
-/// (Fig. 10d + Obs. 10). Tier points run in parallel via [`par_map`],
-/// ordered by pair count exactly as the serial sweep.
-///
-/// `thermal` accepts any [`TierThermalModel`] — the analytic lump or the
-/// `m3d-thermal` RC grid — so exploration can prune with either fidelity.
+/// Sweeps interleaved tier pairs from 1 to `max_pairs` (Fig. 10d). Tier
+/// points run in parallel via [`par_map`], ordered by pair count exactly
+/// as the serial sweep. A thermally capped sweep (Obs. 10) passes its
+/// cap, e.g. [`crate::ThermalModel::max_tiers`], as `max_pairs`.
 pub fn tier_sweep(
     areas: &BaselineAreas,
     base: &ChipParams,
     workload: &[WorkloadPoint],
     max_pairs: u32,
-    thermal: Option<&dyn TierThermalModel>,
 ) -> Vec<TierPoint> {
-    let cap = thermal
-        .and_then(|t| t.max_tiers().ok())
-        .unwrap_or(max_pairs)
-        .min(max_pairs);
-    let pairs: Vec<u32> = (1..=cap.max(1)).collect();
+    let pairs: Vec<u32> = (1..=max_pairs.max(1)).collect();
     par_map(&pairs, |&y| case3_tiers(areas, base, workload, y))
 }
 
@@ -150,22 +142,10 @@ pub fn sram_baseline_design_point(
     DesignPoint::derive(pdk, &mem, CASE_STUDY_CS_DEMAND_MM2)
 }
 
-/// Convenience: the full Fig. 5 comparison set (all four models on the
-/// Sec. II design points).
-pub fn fig5_comparisons(n_cs: u32) -> Vec<m3d_arch::Comparison> {
-    let base = ChipConfig::baseline_2d();
-    let m3d = ChipConfig::m3d(n_cs);
-    models::evaluation_models()
-        .iter()
-        .map(|w| compare(&base, &m3d, w))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::thermal::ThermalModel;
+    use m3d_arch::models;
 
     #[test]
     fn grid_baseline_cell_is_unity() {
@@ -232,12 +212,12 @@ mod tests {
             .iter()
             .map(|l| WorkloadPoint::from_layer(l, 8, 16))
             .collect();
-        let free = tier_sweep(&areas, &base, &w, 8, None);
+        let free = tier_sweep(&areas, &base, &w, 8);
         assert_eq!(free.len(), 8);
-        let thermal = ThermalModel::conventional(8.0);
-        let capped = tier_sweep(&areas, &base, &w, 8, Some(&thermal));
-        assert!(capped.len() <= free.len());
-        assert!(!capped.is_empty());
+        // A thermally capped sweep passes the eq. 17 cap as its pair count.
+        let cap = crate::ThermalModel::conventional(8.0).max_tiers().unwrap();
+        assert!(cap < 8);
+        assert_eq!(tier_sweep(&areas, &base, &w, cap).len(), cap as usize);
     }
 
     #[test]
@@ -247,19 +227,5 @@ mod tests {
         let sram_point = sram_baseline_design_point(&pdk, 64, 2.0).unwrap();
         assert_eq!(rram_point.n_cs, 8);
         assert_eq!(sram_point.n_cs, 16, "Obs. 3: 8 → 16 CSs");
-    }
-
-    #[test]
-    fn fig5_covers_all_models() {
-        let cmps = fig5_comparisons(8);
-        assert_eq!(cmps.len(), 4);
-        for c in &cmps {
-            assert!(
-                c.total.edp_benefit > 3.0,
-                "{} EDP {}",
-                c.workload,
-                c.total.edp_benefit
-            );
-        }
     }
 }

@@ -59,8 +59,8 @@ pub use engine::{
 };
 pub use error::{CoreError, CoreResult, ErrorCode};
 pub use explore::{
-    bandwidth_cs_grid, capacity_sweep, fig5_comparisons, intensity_workload,
-    sram_baseline_design_point, tier_sweep, CapacityPoint, GridPoint,
+    bandwidth_cs_grid, capacity_sweep, intensity_workload, sram_baseline_design_point, tier_sweep,
+    CapacityPoint, GridPoint,
 };
 pub use framework::{
     edp_benefit, energy_pj, energy_ratio, evaluate_workload, exec_cycles, memory_cycles, n_max,
@@ -68,7 +68,5 @@ pub use framework::{
 };
 pub use obs::{trace_document, Provenance, Recorder, SpanNode};
 pub use report::{ExperimentRecord, Metric, Row};
-pub use sensitivity::{
-    edp_benefit_sensitivity, edp_benefit_sensitivity_pruned, Perturbation, SensitivityResult,
-};
-pub use thermal::{ThermalModel, TierThermalModel};
+pub use sensitivity::{edp_benefit_sensitivity, Perturbation, SensitivityResult};
+pub use thermal::ThermalModel;

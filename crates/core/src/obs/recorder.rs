@@ -85,18 +85,6 @@ impl Recorder {
         }
     }
 
-    /// Adds `delta` (possibly negative) to gauge `name`, creating it at
-    /// 0 first. Saturates instead of wrapping.
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        let mut gauges = self.gauges.lock().expect("gauges poisoned");
-        match gauges.get_mut(name) {
-            Some(g) => *g = g.saturating_add(delta),
-            None => {
-                gauges.insert(name.to_owned(), delta);
-            }
-        }
-    }
-
     /// Current value of gauge `name` (0 when never set).
     pub fn gauge(&self, name: &str) -> i64 {
         *self
@@ -240,18 +228,6 @@ impl Recorder {
             ("spans".to_owned(), spans),
         ])
     }
-
-    /// Clears every counter, gauge, histogram and retained span (tests
-    /// and long-lived services that want epoch boundaries).
-    pub fn reset(&self) {
-        self.counters.lock().expect("counters poisoned").clear();
-        self.gauges.lock().expect("gauges poisoned").clear();
-        self.hists.lock().expect("histograms poisoned").clear();
-        let mut ring = self.spans.lock().expect("spans poisoned");
-        ring.recent.clear();
-        ring.recorded = 0;
-        ring.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -309,30 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let r = Recorder::new();
-        r.incr("x", 1);
-        r.gauge_set("g", 5);
-        r.observe("h", 9, LATENCY_US_EDGES);
-        r.record_span(SpanNode::new("s"));
-        r.reset();
-        assert_eq!(r.counter("x"), 0);
-        assert_eq!(r.gauge("g"), 0);
-        assert_eq!(r.hist_total("h"), 0);
-        assert_eq!((r.spans_recorded(), r.spans_retained()), (0, 0));
-        assert_eq!(r.spans_dropped(), 0);
-    }
-
-    #[test]
     fn gauges_hold_last_value_and_move_both_ways() {
         let r = Recorder::new();
         assert_eq!(r.gauge("depth"), 0, "unset gauges read 0");
         r.gauge_set("depth", 7);
         r.gauge_set("depth", 3);
         assert_eq!(r.gauge("depth"), 3, "set is last-value, not additive");
-        r.gauge_add("in_flight", 2);
-        r.gauge_add("in_flight", -5);
-        assert_eq!(r.gauge("in_flight"), -3, "add moves both directions");
+        r.gauge_set("in_flight", 2);
+        r.gauge_set("in_flight", -3);
+        assert_eq!(r.gauge("in_flight"), -3, "a gauge moves both directions");
         let sorted = r.gauges_sorted();
         assert_eq!(
             sorted,
@@ -343,17 +304,6 @@ mod tests {
             snap.get("gauges").unwrap().get("depth"),
             Some(&Value::I64(3))
         );
-    }
-
-    #[test]
-    fn gauge_add_saturates_at_the_extremes() {
-        let r = Recorder::new();
-        r.gauge_set("g", i64::MAX);
-        r.gauge_add("g", 1);
-        assert_eq!(r.gauge("g"), i64::MAX);
-        r.gauge_set("g", i64::MIN);
-        r.gauge_add("g", -1);
-        assert_eq!(r.gauge("g"), i64::MIN);
     }
 
     #[test]

@@ -141,9 +141,6 @@ mod tests {
         assert_eq!(Provenance::DiskHit.name(), "disk-hit");
         assert_eq!(Provenance::Coalesced.name(), "coalesced");
         assert_eq!(Provenance::Warm.name(), "warm");
-        assert!(!Provenance::Computed.is_reuse());
-        assert!(Provenance::Coalesced.is_reuse());
-        assert!(!Provenance::Warm.is_reuse(), "a warm flow still ran");
         for p in [
             Provenance::Computed,
             Provenance::CacheHit,

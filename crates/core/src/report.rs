@@ -25,21 +25,6 @@ impl Metric {
             paper: None,
         }
     }
-
-    /// A metric with a paper reference.
-    pub fn with_paper(name: impl Into<String>, value: f64, paper: f64) -> Self {
-        Self {
-            name: name.into(),
-            value,
-            paper: Some(paper),
-        }
-    }
-
-    /// Relative deviation from the paper value, when present.
-    pub fn deviation(&self) -> Option<f64> {
-        self.paper
-            .map(|p| if p != 0.0 { (self.value - p) / p } else { 0.0 })
-    }
 }
 
 /// One row of a result table (free-form columns).
@@ -90,15 +75,6 @@ impl ExperimentRecord {
         self
     }
 
-    /// Largest relative deviation across paper-referenced metrics.
-    pub fn worst_deviation(&self) -> Option<f64> {
-        self.metrics
-            .iter()
-            .filter_map(Metric::deviation)
-            .map(f64::abs)
-            .fold(None, |acc, d| Some(acc.map_or(d, |a: f64| a.max(d))))
-    }
-
     /// Serialises to pretty JSON.
     ///
     /// # Errors
@@ -116,23 +92,15 @@ mod tests {
 
     fn sample() -> ExperimentRecord {
         ExperimentRecord::new("table1", "Table I, ResNet-18 benefits")
-            .metric(Metric::with_paper("total_speedup", 5.72, 5.64))
-            .metric(Metric::with_paper("total_edp", 5.72, 5.66))
+            .metric(Metric {
+                paper: Some(5.64),
+                ..Metric::new("total_speedup", 5.72)
+            })
             .metric(Metric::new("cs_count", 8.0))
             .row(
                 "L4.1 CONV2",
                 vec![("speedup".into(), 8.0), ("edp".into(), 8.06)],
             )
-    }
-
-    #[test]
-    fn deviations_computed_against_the_paper() {
-        let r = sample();
-        let d = r.metrics[0].deviation().unwrap();
-        assert!((d - (5.72 - 5.64) / 5.64).abs() < 1e-12);
-        assert!(r.metrics[2].deviation().is_none());
-        let worst = r.worst_deviation().unwrap();
-        assert!(worst < 0.02, "worst deviation {worst}");
     }
 
     #[test]
@@ -143,18 +111,5 @@ mod tests {
         assert_eq!(back, r);
         assert!(s.contains("\"table1\""));
         assert!(s.contains("total_speedup"));
-    }
-
-    #[test]
-    fn empty_record_has_no_deviation() {
-        let r = ExperimentRecord::new("x", "y");
-        assert!(r.worst_deviation().is_none());
-        assert!(r.rows.is_empty());
-    }
-
-    #[test]
-    fn zero_paper_value_does_not_divide_by_zero() {
-        let m = Metric::with_paper("zero", 1.0, 0.0);
-        assert_eq!(m.deviation(), Some(0.0));
     }
 }

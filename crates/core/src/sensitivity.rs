@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 use crate::engine::par_map;
 use crate::error::{CoreError, CoreResult};
 use crate::framework::{workload_edp_benefit, ChipParams, WorkloadPoint};
-use crate::thermal::TierThermalModel;
 
 /// Relative half-ranges of the uniform perturbations (0.2 = ±20 %).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,11 +86,8 @@ pub struct SensitivityResult {
     pub min: f64,
     /// Largest sampled benefit.
     pub max: f64,
-    /// Samples kept (drawn minus pruned).
+    /// Samples drawn.
     pub samples: usize,
-    /// Samples discarded by the thermal constraint (always 0 for the
-    /// unconstrained analysis).
-    pub pruned: usize,
 }
 
 fn perturbed(p: &ChipParams, f: &[f64; 5]) -> ChipParams {
@@ -127,54 +123,6 @@ pub fn edp_benefit_sensitivity(
     samples: usize,
     seed: u64,
 ) -> CoreResult<SensitivityResult> {
-    sensitivity_impl(base, m3d, workload, perturbation, samples, seed, None)
-}
-
-/// Like [`edp_benefit_sensitivity`], additionally pruning samples whose
-/// perturbed power would overrun the thermal budget of a `tiers`-pair
-/// stack.
-///
-/// A sample's energy factors scale its dissipated power coherently, so
-/// the sampled stack rise is `temperature_rise(tiers)` scaled by the
-/// mean of the op-energy and idle factors; samples over `max_rise_k()`
-/// are design points a thermal sign-off would reject, and are excluded
-/// from the reported distribution ([`SensitivityResult::pruned`] counts
-/// them). Works with any [`TierThermalModel`] — analytic or RC grid.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParameter`] for invalid perturbations,
-/// `samples == 0`, or when the thermal constraint prunes every sample.
-pub fn edp_benefit_sensitivity_pruned(
-    base: &ChipParams,
-    m3d: &ChipParams,
-    workload: &[WorkloadPoint],
-    perturbation: &Perturbation,
-    samples: usize,
-    seed: u64,
-    thermal: &dyn TierThermalModel,
-    tiers: u32,
-) -> CoreResult<SensitivityResult> {
-    sensitivity_impl(
-        base,
-        m3d,
-        workload,
-        perturbation,
-        samples,
-        seed,
-        Some((thermal, tiers)),
-    )
-}
-
-fn sensitivity_impl(
-    base: &ChipParams,
-    m3d: &ChipParams,
-    workload: &[WorkloadPoint],
-    perturbation: &Perturbation,
-    samples: usize,
-    seed: u64,
-    thermal: Option<(&dyn TierThermalModel, u32)>,
-) -> CoreResult<SensitivityResult> {
     perturbation.validate()?;
     if samples == 0 {
         return Err(CoreError::InvalidParameter {
@@ -192,7 +140,7 @@ fn sensitivity_impl(
         perturbation.bandwidth,
         perturbation.peak_ops,
     ];
-    let mut factors: Vec<[f64; 5]> = (0..samples)
+    let factors: Vec<[f64; 5]> = (0..samples)
         .map(|_| {
             let mut f = [1.0f64; 5];
             for (fi, r) in f.iter_mut().zip(ranges) {
@@ -201,24 +149,6 @@ fn sensitivity_impl(
             f
         })
         .collect();
-    let mut pruned = 0;
-    if let Some((model, tiers)) = thermal {
-        let rise = model.temperature_rise(tiers);
-        let budget = model.max_rise_k();
-        let before = factors.len();
-        // Energy factors scale power coherently (f[1] = op energy,
-        // f[2] = idle energy); prune the samples a sign-off would.
-        factors.retain(|f| rise * 0.5 * (f[1] + f[2]) <= budget);
-        pruned = before - factors.len();
-        if factors.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                parameter: "thermal budget",
-                value: budget,
-                expected: "at least one sample within the budget",
-            });
-        }
-    }
-    let kept = factors.len();
     let mut draws: Vec<f64> = par_map(&factors, |f| {
         // Coherent: the same technology scaling applies to both chips.
         let b = perturbed(base, f);
@@ -226,9 +156,9 @@ fn sensitivity_impl(
         workload_edp_benefit(&b, &m, workload)
     });
     draws.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let mean = draws.iter().sum::<f64>() / kept as f64;
-    let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / kept as f64;
-    let pct = |q: f64| draws[((q * (kept - 1) as f64).round() as usize).min(kept - 1)];
+    let mean = draws.iter().sum::<f64>() / samples as f64;
+    let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / samples as f64;
+    let pct = |q: f64| draws[((q * (samples - 1) as f64).round() as usize).min(samples - 1)];
     Ok(SensitivityResult {
         nominal,
         mean,
@@ -236,9 +166,8 @@ fn sensitivity_impl(
         p5: pct(0.05),
         p95: pct(0.95),
         min: draws[0],
-        max: draws[kept - 1],
-        samples: kept,
-        pruned,
+        max: draws[samples - 1],
+        samples,
     })
 }
 
@@ -301,50 +230,6 @@ mod tests {
         let a = edp_benefit_sensitivity(&base, &m3d, &workload(), &p, 64, 42).unwrap();
         let b = edp_benefit_sensitivity(&base, &m3d, &workload(), &p, 64, 42).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn thermal_pruning_discards_hot_samples() {
-        use crate::thermal::ThermalModel;
-
-        let base = ChipParams::baseline_2d();
-        let m3d = ChipParams::m3d(8);
-        let p = Perturbation::twenty_percent();
-        // A model sitting exactly at its budget: any sample whose energy
-        // factors land above 1.0 on average overruns it.
-        let tight = ThermalModel {
-            sink_k_per_w: 1.0,
-            per_tier_k_per_w: 0.35,
-            power_per_tier_w: 5.0,
-            max_rise_k: ThermalModel::conventional(5.0).temperature_rise(3),
-        };
-        let r = edp_benefit_sensitivity_pruned(&base, &m3d, &workload(), &p, 256, 7, &tight, 3)
-            .unwrap();
-        assert!(r.pruned > 0, "≈ half the ±20 % samples overrun");
-        assert_eq!(r.samples + r.pruned, 256);
-        // A roomy budget prunes nothing and reproduces the plain result.
-        let roomy = ThermalModel::conventional(2.0);
-        let full = edp_benefit_sensitivity_pruned(&base, &m3d, &workload(), &p, 256, 7, &roomy, 1)
-            .unwrap();
-        let plain = edp_benefit_sensitivity(&base, &m3d, &workload(), &p, 256, 7).unwrap();
-        assert_eq!(full, plain);
-
-        // An impossible budget errors rather than reporting empty stats.
-        let impossible = ThermalModel {
-            max_rise_k: 0.0,
-            ..roomy
-        };
-        assert!(edp_benefit_sensitivity_pruned(
-            &base,
-            &m3d,
-            &workload(),
-            &p,
-            32,
-            7,
-            &impossible,
-            1
-        )
-        .is_err());
     }
 
     #[test]

@@ -9,50 +9,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, CoreResult};
 
-/// A thermal model of a stacked-tier chip, abstracted over fidelity.
-///
-/// Two implementations exist: the analytic lump below (eq. 17) and the
-/// voxelized 3D RC grid in `m3d-thermal`. Design-space exploration
-/// ([`crate::explore::tier_sweep`]) and sensitivity analysis prune
-/// against `t_max` through this trait, so callers choose the fidelity
-/// without the sweeps caring which model answers.
-pub trait TierThermalModel {
-    /// Peak temperature rise over ambient of a `tiers`-pair stack, in K.
-    fn temperature_rise(&self, tiers: u32) -> f64;
-
-    /// Maximum allowed temperature rise (`t_max − t_ambient`), in K.
-    fn max_rise_k(&self) -> f64;
-
-    /// Largest tier count whose rise stays within the budget.
-    ///
-    /// The default walks tier counts upwards, which is correct for any
-    /// model whose rise is monotonic in the tier count (both of ours).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] when even one tier
-    /// exceeds the budget.
-    fn max_tiers(&self) -> CoreResult<u32> {
-        let budget = self.max_rise_k();
-        let first = self.temperature_rise(1);
-        if first > budget {
-            return Err(CoreError::InvalidParameter {
-                parameter: "temperature_rise",
-                value: first,
-                expected: "a single tier within the thermal budget",
-            });
-        }
-        let mut y = 1;
-        while self.temperature_rise(y + 1) <= budget {
-            y += 1;
-            if y > 10_000 {
-                break;
-            }
-        }
-        Ok(y)
-    }
-}
-
 /// Thermal stack description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThermalModel {
@@ -88,15 +44,32 @@ impl ThermalModel {
         }
         rise
     }
-}
 
-impl TierThermalModel for ThermalModel {
-    fn temperature_rise(&self, tiers: u32) -> f64 {
-        ThermalModel::temperature_rise(self, tiers)
-    }
-
-    fn max_rise_k(&self) -> f64 {
-        self.max_rise_k
+    /// Largest tier count whose rise stays within the budget, walking
+    /// tier counts upwards (the rise is monotonic in the tier count).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] when even one tier
+    /// exceeds the budget.
+    pub fn max_tiers(&self) -> CoreResult<u32> {
+        let budget = self.max_rise_k;
+        let first = self.temperature_rise(1);
+        if first > budget {
+            return Err(CoreError::InvalidParameter {
+                parameter: "temperature_rise",
+                value: first,
+                expected: "a single tier within the thermal budget",
+            });
+        }
+        let mut y = 1;
+        while self.temperature_rise(y + 1) <= budget {
+            y += 1;
+            if y > 10_000 {
+                break;
+            }
+        }
+        Ok(y)
     }
 }
 

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use m3d_ingest::{ingest, Format};
 use m3d_netlist::gen::{
-    accelerator_soc, array_multiplier, bind_cs_ports_as_primary, carry_select_adder, counter,
-    mac_pe, register, ripple_carry_adder, systolic_cs, CsConfig, PeConfig, SocConfig,
+    accelerator_soc, array_multiplier, bind_cs_ports_as_primary, counter, mac_pe, register,
+    ripple_carry_adder, systolic_cs, CsConfig, PeConfig, SocConfig,
 };
 use m3d_netlist::stats::NetlistStats;
 use m3d_netlist::{to_verilog, NetId, Netlist};
@@ -95,18 +95,6 @@ proptest! {
             if !nl.primary_outputs.contains(&n) {
                 nl.set_primary_output(n).unwrap();
             }
-        }
-        check_round_trip(&nl);
-    }
-
-    #[test]
-    fn carry_select_adders_round_trip(width in 1usize..=12, tier in tier_strategy()) {
-        let mut nl = Netlist::new("csa");
-        let a = inputs(&mut nl, "a", width);
-        let b = inputs(&mut nl, "b", width);
-        let out = carry_select_adder(&mut nl, "add", tier, &a, &b).unwrap();
-        for s in out.sum.iter().chain(std::iter::once(&out.cout)) {
-            nl.set_primary_output(*s).unwrap();
         }
         check_round_trip(&nl);
     }

@@ -7,13 +7,11 @@
 //! same netlist, so physical-design results are reproducible.
 
 pub mod arith;
-pub mod cla;
 pub mod pe;
 pub mod soc;
 pub mod systolic;
 
 pub use arith::{array_multiplier, counter, register, ripple_carry_adder, AdderOut};
-pub use cla::carry_select_adder;
 pub use pe::{mac_pe, PeConfig, PeOutputs};
 pub use soc::{accelerator_soc, SocConfig, SocPorts};
 pub use systolic::{

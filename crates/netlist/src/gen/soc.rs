@@ -68,12 +68,6 @@ impl SocConfig {
         }
     }
 
-    /// Returns a copy with a different RRAM capacity (Fig. 9 sweep).
-    pub fn with_rram_mb(mut self, mb: u64) -> Self {
-        self.rram_mb = mb;
-        self
-    }
-
     /// The RRAM macro this configuration instantiates.
     ///
     /// # Errors
@@ -431,8 +425,7 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = SocConfig::m3d(8).with_rram_mb(128);
-        assert_eq!(c.rram_mb, 128);
+        let c = SocConfig::m3d(8);
         assert_eq!(c.rram_banks, 8);
         assert!(c.selector.frees_si_tier());
         assert!(!SocConfig::baseline_2d().selector.frees_si_tier());

@@ -47,14 +47,6 @@ impl StableHash for CsConfig {
     }
 }
 
-impl CsConfig {
-    /// Peak MAC operations per cycle at full utilisation (`P_peak` of the
-    /// analytical framework, per CS).
-    pub fn peak_ops_per_cycle(&self) -> u64 {
-        (self.rows * self.cols) as u64
-    }
-}
-
 /// Port map of a generated CS.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsPorts {
@@ -352,17 +344,6 @@ mod tests {
             "cells = {}",
             nl.cell_count()
         );
-    }
-
-    #[test]
-    fn peak_ops_matches_array_size() {
-        assert_eq!(CsConfig::default().peak_ops_per_cycle(), 256);
-        let c = CsConfig {
-            rows: 8,
-            cols: 8,
-            ..CsConfig::default()
-        };
-        assert_eq!(c.peak_ops_per_cycle(), 64);
     }
 
     #[test]

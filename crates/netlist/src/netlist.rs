@@ -552,20 +552,6 @@ impl Netlist {
         })
     }
 
-    /// Looks up a macro instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InvalidId`] for out-of-range ids.
-    pub fn macro_inst(&self, id: MacroId) -> NetlistResult<&MacroInst> {
-        self.macros
-            .get(id.0 as usize)
-            .ok_or(NetlistError::InvalidId {
-                kind: "macro",
-                index: id.0 as usize,
-            })
-    }
-
     /// Creates a fresh unconnected net. `name` is written straight into
     /// the name buffer, so generators pass `format_args!`.
     pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
@@ -1277,6 +1263,5 @@ mod tests {
         let (nl, ..) = tiny();
         assert!(nl.cell(CellId(99)).is_err());
         assert!(nl.net(NetId(99)).is_err());
-        assert!(nl.macro_inst(MacroId(0)).is_err());
     }
 }

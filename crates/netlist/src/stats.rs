@@ -112,11 +112,6 @@ impl NetlistStats {
     pub fn total_cell_area(&self) -> SquareMicrons {
         self.cell_area_by_tier.values().copied().sum()
     }
-
-    /// Instances of one kind (0 when absent).
-    pub fn count_of(&self, kind: CellKind) -> usize {
-        self.by_kind.get(kind.base_name()).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +144,7 @@ mod tests {
         let s = NetlistStats::compute(&nl, &pdk).unwrap();
         assert_eq!(s.cell_count, nl.cell_count());
         assert!(s.sequential_count > 0);
-        assert!(s.count_of(CellKind::FullAdder) > 0);
+        assert!(s.by_kind[CellKind::FullAdder.base_name()] > 0);
         assert!(s.total_cell_area().value() > 0.0);
         assert!(s.macro_area.as_mm2() > 50.0, "64 MB RRAM dominates");
         assert!(s.avg_fanout >= 1.0);

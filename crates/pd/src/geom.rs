@@ -112,11 +112,6 @@ impl Rect {
         other.x0 >= self.x0 && other.x1 <= self.x1 && other.y0 >= self.y0 && other.y1 <= self.y1
     }
 
-    /// `true` when the interiors of the rectangles overlap.
-    pub fn overlaps(&self, other: &Rect) -> bool {
-        self.x0 < other.x1 && other.x0 < self.x1 && self.y0 < other.y1 && other.y0 < self.y1
-    }
-
     /// Intersection of two rectangles, if non-empty.
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         let x0 = self.x0.max(other.x0);
@@ -124,16 +119,6 @@ impl Rect {
         let x1 = self.x1.min(other.x1);
         let y1 = self.y1.min(other.y1);
         (x1 > x0 && y1 > y0).then_some(Rect { x0, y0, x1, y1 })
-    }
-
-    /// Returns this rectangle translated by `(dx, dy)`.
-    pub fn translated(&self, dx: Microns, dy: Microns) -> Rect {
-        Rect {
-            x0: self.x0 + dx,
-            y0: self.y0 + dy,
-            x1: self.x1 + dx,
-            y1: self.y1 + dy,
-        }
     }
 
     /// Returns this rectangle shrunk by `margin` on every side (empty
@@ -236,11 +221,12 @@ mod tests {
         let a = Rect::new(0.0, 0.0, 10.0, 10.0);
         let b = Rect::new(5.0, 5.0, 15.0, 15.0);
         let c = Rect::new(10.0, 0.0, 20.0, 10.0);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c), "touching edges do not overlap");
         let i = a.intersection(&b).unwrap();
         assert_eq!(i, Rect::new(5.0, 5.0, 10.0, 10.0));
-        assert!(a.intersection(&c).is_none());
+        assert!(
+            a.intersection(&c).is_none(),
+            "touching edges do not overlap"
+        );
         assert!(a.contains_rect(&Rect::new(1.0, 1.0, 9.0, 9.0)));
         assert!(!a.contains_rect(&b));
     }
@@ -248,8 +234,6 @@ mod tests {
     #[test]
     fn translate_and_shrink() {
         let r = Rect::new(0.0, 0.0, 4.0, 4.0);
-        let t = r.translated(Microns::new(1.0), Microns::new(2.0));
-        assert_eq!(t, Rect::new(1.0, 2.0, 5.0, 6.0));
         let s = r.shrunk(Microns::new(1.0));
         assert_eq!(s, Rect::new(1.0, 1.0, 3.0, 3.0));
         let collapsed = r.shrunk(Microns::new(3.0));
@@ -283,12 +267,6 @@ mod tests {
             }
 
             #[test]
-            fn overlap_is_symmetric_and_matches_intersection(a in arb_rect(), b in arb_rect()) {
-                prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
-                prop_assert_eq!(a.overlaps(&b), a.intersection(&b).is_some());
-            }
-
-            #[test]
             fn containment_implies_full_intersection(a in arb_rect()) {
                 let inner = a.shrunk(Microns::new(1.0));
                 prop_assert!(a.contains_rect(&inner));
@@ -296,13 +274,6 @@ mod tests {
                     let i = a.intersection(&inner).unwrap();
                     prop_assert!((i.area().value() - inner.area().value()).abs() < 1e-6);
                 }
-            }
-
-            #[test]
-            fn translation_preserves_area(a in arb_rect(), dx in -1e3..1e3_f64, dy in -1e3..1e3_f64) {
-                let t = a.translated(Microns::new(dx), Microns::new(dy));
-                prop_assert!((t.area().value() - a.area().value()).abs() < 1e-6);
-                prop_assert!((t.center().x.value() - a.center().x.value() - dx).abs() < 1e-9);
             }
 
             #[test]

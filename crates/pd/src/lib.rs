@@ -6,8 +6,8 @@
 //! cluster-based annealing global placement with an under-array region
 //! for M3D, Steiner/HPWL routing estimation with per-layer RC and ILV
 //! counting, Elmore static timing analysis, post-route buffer insertion
-//! and upsizing, activity-based power sign-off with a power-density map,
-//! and a GDS-like JSON layout export.
+//! and upsizing, and activity-based power sign-off with a power-density
+//! map.
 //!
 //! The entry point is [`Rtl2GdsFlow`]:
 //!
@@ -33,7 +33,6 @@ pub mod drc;
 pub mod error;
 pub mod floorplan;
 pub mod flow;
-pub mod gds;
 pub mod geom;
 pub mod legalize;
 pub mod observe;
@@ -42,7 +41,6 @@ pub mod partition;
 pub mod place;
 pub mod power;
 pub mod route;
-pub mod spef;
 pub mod sta;
 
 pub use cluster::{Cluster, ClusterKind, Clustering};
@@ -55,7 +53,6 @@ pub use flow::{
     cs_geometric_demand, FlowArtifacts, FlowConfig, FlowReport, NetlistSource, PlacementSeed,
     Rtl2GdsFlow,
 };
-pub use gds::LayoutExport;
 pub use geom::{BoundingBox, Point, Rect};
 pub use legalize::{legalize, LegalizeReport};
 pub use observe::round_counter;
@@ -63,6 +60,5 @@ pub use opt::{post_route_optimize, OptConfig, OptOutcome};
 pub use partition::{fold_two_tier, FoldingReport};
 pub use place::{place, place_traced, Placement, PlacerConfig};
 pub use power::{analyze_power, PowerDensityGrid, PowerReport, DEFAULT_ACTIVITY};
-pub use route::{estimate_routing, reestimate_routing, RoutedNet, RoutingEstimate, DEFAULT_DETOUR};
-pub use spef::to_spef;
+pub use route::{estimate_routing, RoutedNet, RoutingEstimate, DEFAULT_DETOUR};
 pub use sta::{analyze_timing, EndpointSlack, TimingReport};

@@ -12,7 +12,7 @@ use crate::error::PdResult;
 use crate::geom::Point;
 use crate::observe::round_counter;
 use crate::place::Placement;
-use crate::route::{estimate_routing, reestimate_routing, RoutingEstimate};
+use crate::route::{estimate_routing, RoutingEstimate};
 use crate::sta::{analyze_timing, TimingReport};
 
 /// Builds a `route` span from one routing estimate (net count, rounded
@@ -155,12 +155,6 @@ pub fn post_route_optimize(
         let mut changed = false;
         let upsized_before = upsized;
         let buffers_before = buffers;
-        // Nets whose parasitics the round's fixes perturb: rewired nets
-        // and every net loaded by an upsized cell's input pin. Only
-        // these are re-routed below — the re-estimate is incremental
-        // against the placement/netlist delta, bit-identical to a full
-        // re-route.
-        let mut dirty: Vec<usize> = Vec::new();
 
         // --- Pass 1: upsize weak drivers of heavily loaded nets ---------
         let mut to_upsize: Vec<u32> = Vec::new();
@@ -187,12 +181,7 @@ pub fn post_route_optimize(
             };
             let lib = pdk.library(tier)?;
             if let Some(up) = lib.upsize(lib.cell(kind, drive)?) {
-                let cell = netlist.cell_mut(m3d_netlist::CellId(ci))?;
-                cell.drive = up.drive;
-                // A stronger drive variant presents a larger input pin,
-                // so every net the cell sinks carries a stale pin
-                // capacitance.
-                dirty.extend(cell.inputs.iter().map(|n| n.0 as usize));
+                netlist.cell_mut(m3d_netlist::CellId(ci))?.drive = up.drive;
                 upsized += 1;
                 changed = true;
             }
@@ -230,14 +219,9 @@ pub fn post_route_optimize(
             placement.cell_pos.push(center);
             buffers += 1;
             changed = true;
-            // The rewired source net changed topology; the new net is
-            // appended past `routing.nets` and re-routed implicitly.
-            dirty.push(ni);
         }
 
-        dirty.sort_unstable();
-        dirty.dedup();
-        routing = reestimate_routing(netlist, placement, pdk, config.detour, &routing, &dirty)?;
+        routing = estimate_routing(netlist, placement, pdk, config.detour)?;
         timing = analyze_timing(netlist, &routing, pdk, target_clock)?;
         let mut round_span = SpanNode::new(format!("round{round}"));
         round_span.counter("upsized", (upsized - upsized_before) as u64);
@@ -350,25 +334,6 @@ mod tests {
         assert_eq!(
             sta.counter_value("timing_met"),
             Some(u64::from(out.timing.timing_met()))
-        );
-    }
-
-    #[test]
-    fn incremental_reroute_is_bit_identical_to_full_reroute() {
-        let (mut nl, mut p, pdk, clock) = setup();
-        // Aggressive thresholds force both fix kinds, so the dirty-set
-        // bookkeeping is exercised on upsizes, rewires and new nets.
-        let cfg = OptConfig {
-            buffer_length_um: 100.0,
-            upsize_threshold_ns: 0.05,
-            ..OptConfig::default()
-        };
-        let out = post_route_optimize(&mut nl, &mut p, &pdk, clock, &cfg).unwrap();
-        assert!(out.buffers_inserted > 0, "test must insert buffers");
-        let full = estimate_routing(&nl, &p, &pdk, cfg.detour).unwrap();
-        assert_eq!(
-            out.routing, full,
-            "incrementally patched estimate must equal a from-scratch one bit-for-bit"
         );
     }
 

@@ -59,11 +59,6 @@ pub struct PowerDensityGrid {
 }
 
 impl PowerDensityGrid {
-    /// Combined (all-tier) power of tile `(ix, iy)`, in mW.
-    pub fn total_mw(&self, ix: usize, iy: usize) -> f64 {
-        self.si_mw[iy * self.nx + ix] + self.upper_mw[iy * self.nx + ix]
-    }
-
     /// Tile footprint in mm².
     pub fn tile_area_mm2(&self) -> f64 {
         self.tile_um * self.tile_um / 1.0e6

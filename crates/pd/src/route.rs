@@ -75,8 +75,7 @@ fn pin_tier(netlist: &Netlist, pdk: &Pdk, driver_or_sink_is_macro: Option<usize>
 }
 
 /// Per-net routing context: everything [`estimate_routing`] derives
-/// once per design, factored out so the full and incremental estimators
-/// share one per-net function (bit-identical results by construction).
+/// once per design.
 struct NetRouter<'a> {
     netlist: &'a Netlist,
     placement: &'a Placement,
@@ -191,24 +190,6 @@ fn memory_cell_ilvs(netlist: &Netlist) -> u64 {
         .sum()
 }
 
-/// Re-derives the design totals from per-net entries, accumulating in
-/// net-index order — the same sequence of float additions the full
-/// estimator performs, so an incrementally patched estimate is
-/// bit-identical to one computed from scratch.
-fn totals(nets: &[RoutedNet], placement: &Placement, netlist: &Netlist) -> (Microns, u64, u64) {
-    let mut total_len = 0.0f64;
-    let mut signal_ilvs = 0u64;
-    for rn in nets {
-        total_len += rn.length.value();
-        signal_ilvs += u64::from(rn.ilv_count);
-    }
-    (
-        Microns::new(total_len) + placement.intra_wl,
-        signal_ilvs,
-        memory_cell_ilvs(netlist),
-    )
-}
-
 /// Estimates routing for a placed design.
 ///
 /// # Errors
@@ -223,64 +204,19 @@ pub fn estimate_routing(
 ) -> TechResult<RoutingEstimate> {
     let router = NetRouter::new(netlist, placement, pdk, detour);
     let mut nets = Vec::with_capacity(netlist.net_count());
+    let mut total_len = 0.0f64;
+    let mut signal_ilvs = 0u64;
     for ni in 0..netlist.net_count() {
-        nets.push(router.route(ni)?);
+        let rn = router.route(ni)?;
+        total_len += rn.length.value();
+        signal_ilvs += u64::from(rn.ilv_count);
+        nets.push(rn);
     }
-    let (total_wirelength, signal_ilvs, memory_cell_ilvs) = totals(&nets, placement, netlist);
     Ok(RoutingEstimate {
         nets,
-        total_wirelength,
+        total_wirelength: Microns::new(total_len) + placement.intra_wl,
         signal_ilvs,
-        memory_cell_ilvs,
-        detour,
-    })
-}
-
-/// Incrementally re-estimates routing against a placement/netlist delta:
-/// only the nets listed in `dirty` (plus nets appended since `prev` was
-/// computed) are re-routed; every other per-net entry is carried over
-/// from `prev` unchanged, and the design totals are re-accumulated in
-/// net-index order. The result is **bit-identical** to a from-scratch
-/// [`estimate_routing`] of the current netlist/placement, provided
-/// `dirty` covers every net whose pins, positions or topology changed —
-/// post-route optimisation's buffer insertion and driver upsizing
-/// produce exactly such a conservative dirty set.
-///
-/// Falls back to the full estimator when `prev` was computed with a
-/// different detour factor or has more nets than the netlist (a stale
-/// estimate it cannot patch).
-///
-/// # Errors
-///
-/// Returns technology errors when a cell is missing from the PDK
-/// libraries.
-pub fn reestimate_routing(
-    netlist: &Netlist,
-    placement: &Placement,
-    pdk: &Pdk,
-    detour: f64,
-    prev: &RoutingEstimate,
-    dirty: &[usize],
-) -> TechResult<RoutingEstimate> {
-    if prev.detour != detour || prev.nets.len() > netlist.net_count() {
-        return estimate_routing(netlist, placement, pdk, detour);
-    }
-    let router = NetRouter::new(netlist, placement, pdk, detour);
-    let mut nets = prev.nets.clone();
-    for &ni in dirty {
-        if ni < nets.len() {
-            nets[ni] = router.route(ni)?;
-        }
-    }
-    for ni in nets.len()..netlist.net_count() {
-        nets.push(router.route(ni)?);
-    }
-    let (total_wirelength, signal_ilvs, memory_cell_ilvs) = totals(&nets, placement, netlist);
-    Ok(RoutingEstimate {
-        nets,
-        total_wirelength,
-        signal_ilvs,
-        memory_cell_ilvs,
+        memory_cell_ilvs: memory_cell_ilvs(netlist),
         detour,
     })
 }

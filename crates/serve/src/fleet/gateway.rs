@@ -29,7 +29,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use m3d_bench::registry;
@@ -111,6 +111,10 @@ struct FleetShared {
     /// Round-robin cursor for admin forwards.
     rr: AtomicUsize,
     shutdown: AtomicBool,
+    /// Cuts the supervisor's wait between probe rounds short once
+    /// `shutdown` is set.
+    supervisor_lock: Mutex<()>,
+    supervisor_wake: Condvar,
     shutdown_replies: ShutdownReplies,
     addr: SocketAddr,
     scrape_min_interval: Duration,
@@ -121,6 +125,10 @@ impl FleetShared {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        // Wake the supervisor for its draining round. Taking the lock
+        // orders this after any wait that missed the flag.
+        drop(self.supervisor_lock.lock());
+        self.supervisor_wake.notify_all();
         // Unblock the accept loop so it observes the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
     }
@@ -247,6 +255,8 @@ pub fn serve_fleet(cfg: &GatewayConfig) -> std::io::Result<FleetHandle> {
         traces: TraceSink::default(),
         rr: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
+        supervisor_lock: Mutex::new(()),
+        supervisor_wake: Condvar::new(),
         shutdown_replies: ShutdownReplies::default(),
         addr,
         scrape_min_interval: Duration::from_millis(cfg.scrape_min_interval_ms),
@@ -277,7 +287,8 @@ pub fn serve_fleet(cfg: &GatewayConfig) -> std::io::Result<FleetHandle> {
 }
 
 /// Probes, reaps and respawns replicas, and refreshes the per-replica
-/// gauge families, until the gateway drains.
+/// gauge families, every `interval` until the gateway drains; the
+/// draining round runs as soon as shutdown begins.
 fn supervisor_loop(shared: &Arc<FleetShared>, interval: Duration) {
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
@@ -302,7 +313,14 @@ fn supervisor_loop(shared: &Arc<FleetShared>, interval: Duration) {
         if draining {
             return;
         }
-        std::thread::sleep(interval);
+        let idle = shared
+            .supervisor_lock
+            .lock()
+            .expect("supervisor lock poisoned");
+        let _ = shared
+            .supervisor_wake
+            .wait_timeout_while(idle, interval, |()| !shared.shutdown.load(Ordering::SeqCst))
+            .expect("supervisor lock poisoned");
     }
 }
 

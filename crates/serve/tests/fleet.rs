@@ -435,6 +435,40 @@ fn a_retried_request_shows_both_attempts_in_its_trace() {
     fleet.wait();
 }
 
+/// A drain does not sit out the probe interval: shutdown wakes the
+/// supervisor for its last round at once, so `wait` returns long before
+/// the next 5 s probe would have come due.
+#[test]
+fn a_drain_does_not_wait_out_the_probe_interval() {
+    let fleet = start_fleet_with(&GatewayConfig {
+        probe_interval_ms: 5_000,
+        ..config(1)
+    });
+    // The first probe round has run once the replica's gauge shows; the
+    // supervisor is then waiting for the next one.
+    let mut admin = Client::connect(fleet.addr());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while admin
+        .admin("metrics", Value::Null)
+        .get("gauges")
+        .and_then(|g| g.get("fleet.replica0.up"))
+        .is_none()
+    {
+        assert!(Instant::now() < deadline, "no probe round finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(admin);
+
+    let started = Instant::now();
+    fleet.shutdown();
+    fleet.wait();
+    let drained = started.elapsed();
+    assert!(
+        drained < Duration::from_secs(2),
+        "the drain took {drained:?} under a 5 s probe interval"
+    );
+}
+
 /// An upload computed on replica 0 is a cache hit on replica 1: only
 /// the disk tier the `--cache-dir` replicas share can carry it across
 /// processes.

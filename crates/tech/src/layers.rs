@@ -82,18 +82,6 @@ impl StableHash for RoutingLayer {
     }
 }
 
-impl RoutingLayer {
-    /// Total wire resistance of a run of `length`.
-    pub fn wire_resistance(&self, length: Microns) -> KiloOhms {
-        self.resistance_per_um * length.value()
-    }
-
-    /// Total wire capacitance of a run of `length`.
-    pub fn wire_capacitance(&self, length: Microns) -> Femtofarads {
-        self.capacitance_per_um * length.value()
-    }
-}
-
 /// Inter-layer via (ILV) specification.
 ///
 /// ILV pitch is the critical M3D technology parameter `β` studied in
@@ -135,11 +123,6 @@ impl IlvSpec {
             pitch: self.pitch * factor,
             ..self
         }
-    }
-
-    /// Area footprint occupied by `count` vias at this pitch.
-    pub fn area_for(self, count: u64) -> crate::units::SquareMicrons {
-        self.pitch * self.pitch * count as f64
     }
 }
 
@@ -201,12 +184,6 @@ impl LayerStack {
         self.routing.iter().find(|l| l.name == name)
     }
 
-    /// Routing layers available below the RRAM plane (the ones usable to
-    /// route Si-tier logic placed underneath an RRAM array in M3D).
-    pub fn layers_below_rram(&self) -> impl Iterator<Item = &RoutingLayer> {
-        self.routing.iter().filter(|l| l.below_rram)
-    }
-
     /// Average per-micron resistance across routing layers, a convenient
     /// lumped value for net-length-based RC estimation.
     pub fn avg_resistance_per_um(&self) -> KiloOhms {
@@ -250,7 +227,12 @@ mod tests {
     #[test]
     fn below_rram_layers_are_m1_to_m3() {
         let s = LayerStack::m3d_130nm();
-        let below: Vec<_> = s.layers_below_rram().map(|l| l.name.clone()).collect();
+        let below: Vec<_> = s
+            .routing()
+            .iter()
+            .filter(|l| l.below_rram)
+            .map(|l| l.name.clone())
+            .collect();
         assert_eq!(below, ["M1", "M2", "M3"]);
     }
 
@@ -258,9 +240,9 @@ mod tests {
     fn wire_parasitics_scale_with_length() {
         let s = LayerStack::m3d_130nm();
         let m1 = s.layer("M1").unwrap();
-        let r = m1.wire_resistance(Microns::new(100.0));
+        let r = m1.resistance_per_um * 100.0;
         assert!((r.value() - 0.04).abs() < 1e-12);
-        let c = m1.wire_capacitance(Microns::new(100.0));
+        let c = m1.capacitance_per_um * 100.0;
         assert!((c.value() - 20.0).abs() < 1e-9);
     }
 
@@ -269,10 +251,6 @@ mod tests {
         let ilv = IlvSpec::ultra_dense_130nm();
         let coarse = ilv.with_pitch_scaled(2.0);
         assert!((coarse.pitch.value() - 0.30).abs() < 1e-12);
-        // Area for vias grows quadratically with pitch.
-        let fine_area = ilv.area_for(1000);
-        let coarse_area = coarse.area_for(1000);
-        assert!((coarse_area / fine_area - 4.0).abs() < 1e-9);
     }
 
     #[test]

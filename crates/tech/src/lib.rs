@@ -40,9 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod corners;
-pub mod device;
 pub mod error;
-pub mod export;
 pub mod layers;
 pub mod macro_model;
 pub mod pdk;
@@ -56,9 +54,8 @@ pub mod units;
 
 pub use corners::Corner;
 pub use error::{TechError, TechResult};
-pub use export::{to_lef, to_liberty};
 pub use layers::{IlvSpec, LayerStack, RoutingLayer, Tier};
-pub use macro_model::{MacroBlockage, RramMacro, SramMacro};
+pub use macro_model::{RramMacro, SramMacro};
 pub use pdk::{DesignRules, Pdk};
 pub use rram::{RramCellModel, SelectorTech};
 pub use scaling::{projection_ladder, NodeScaling};

@@ -10,18 +10,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{TechError, TechResult};
-use crate::layers::{IlvSpec, Tier};
+use crate::layers::IlvSpec;
 use crate::rram::{RramCellModel, SelectorTech};
 use crate::units::{Nanoseconds, Picojoules, SquareMicrons};
-
-/// Occupancy of a device tier under/inside a macro's footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MacroBlockage {
-    /// The tier is free for standard-cell placement.
-    Free,
-    /// The tier is fully blocked.
-    Occupied,
-}
 
 /// A banked on-chip RRAM memory macro.
 ///
@@ -173,19 +164,6 @@ impl RramMacro {
         }
     }
 
-    /// Tier occupancy within the cell-array region.
-    pub fn array_blockage(&self, tier: Tier) -> MacroBlockage {
-        match (tier, self.selector.frees_si_tier()) {
-            (Tier::SiCmos, true) => MacroBlockage::Free,
-            (Tier::SiCmos, false) => MacroBlockage::Occupied,
-            // The CNFET tier above the array holds the selectors in M3D;
-            // in 2D there is nothing there, but the 2D baseline also
-            // forbids CNFET cells by floorplan rule, so report occupied
-            // either way.
-            (Tier::Cnfet, _) => MacroBlockage::Occupied,
-        }
-    }
-
     /// Aggregate read bandwidth: banks × port width, in bits per cycle.
     pub fn total_bandwidth_bits_per_cycle(&self) -> u64 {
         self.banks as u64 * self.port_bits_per_bank as u64
@@ -194,11 +172,6 @@ impl RramMacro {
     /// Read energy for `bits` of data.
     pub fn read_energy(&self, bits: u64) -> Picojoules {
         self.cell.read_energy_per_bit * bits as f64
-    }
-
-    /// Write energy for `bits` of data.
-    pub fn write_energy(&self, bits: u64) -> Picojoules {
-        self.cell.write_energy_per_bit * bits as f64
     }
 
     /// Random-access read latency.
@@ -210,26 +183,6 @@ impl RramMacro {
     /// off-state; RRAM itself is non-volatile).
     pub fn leakage_mw(&self) -> f64 {
         self.cell.leakage_nw_per_bit * self.capacity_bits as f64 * 1.0e-6
-    }
-
-    /// Returns a copy re-banked to `banks` with the same total capacity
-    /// and per-bank port width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::InvalidParameter`] when the capacity does not
-    /// divide into the new bank count.
-    pub fn rebanked(&self, banks: u32) -> TechResult<Self> {
-        let mut m = Self::new(
-            self.capacity_bits,
-            banks,
-            self.port_bits_per_bank,
-            self.selector,
-        )?;
-        m.cell = self.cell;
-        m.peripheral_fraction = self.peripheral_fraction;
-        m.per_bank_overhead = self.per_bank_overhead;
-        Ok(m)
     }
 }
 
@@ -277,19 +230,9 @@ impl SramMacro {
         self.bit_area * self.capacity_bits as f64 * (1.0 + self.overhead_fraction)
     }
 
-    /// Effective area per bit including peripheral overhead.
-    pub fn effective_bit_area(&self) -> SquareMicrons {
-        self.bit_area * (1.0 + self.overhead_fraction)
-    }
-
     /// Read energy for `bits`.
     pub fn read_energy(&self, bits: u64) -> Picojoules {
         self.read_energy_per_bit * bits as f64
-    }
-
-    /// Write energy for `bits`.
-    pub fn write_energy(&self, bits: u64) -> Picojoules {
-        self.write_energy_per_bit * bits as f64
     }
 
     /// Macro leakage in milliwatts.
@@ -311,7 +254,6 @@ mod tests {
     fn si_selector_macro_frees_nothing() {
         let m = RramMacro::with_capacity_mb(64, 1, 256, SelectorTech::SiFet).unwrap();
         assert_eq!(m.freed_si_area(&ilv()).unwrap(), SquareMicrons::ZERO);
-        assert_eq!(m.array_blockage(Tier::SiCmos), MacroBlockage::Occupied);
     }
 
     #[test]
@@ -319,8 +261,6 @@ mod tests {
         let m = RramMacro::with_capacity_mb(64, 8, 256, SelectorTech::IDEAL_CNFET).unwrap();
         let freed = m.freed_si_area(&ilv()).unwrap();
         assert_eq!(freed, m.array_area(&ilv()).unwrap());
-        assert_eq!(m.array_blockage(Tier::SiCmos), MacroBlockage::Free);
-        assert_eq!(m.array_blockage(Tier::Cnfet), MacroBlockage::Occupied);
     }
 
     #[test]
@@ -335,7 +275,7 @@ mod tests {
     #[test]
     fn banking_multiplies_bandwidth_and_grows_peripherals() {
         let one = RramMacro::with_capacity_mb(64, 1, 256, SelectorTech::IDEAL_CNFET).unwrap();
-        let eight = one.rebanked(8).unwrap();
+        let eight = RramMacro::with_capacity_mb(64, 8, 256, SelectorTech::IDEAL_CNFET).unwrap();
         assert_eq!(eight.total_bandwidth_bits_per_cycle(), 8 * 256);
         assert!(eight.peripheral_area(&ilv()).unwrap() > one.peripheral_area(&ilv()).unwrap());
     }
@@ -354,7 +294,6 @@ mod tests {
         let e1 = m.read_energy(1000);
         let e2 = m.read_energy(2000);
         assert!((e2.value() / e1.value() - 2.0).abs() < 1e-12);
-        assert!(m.write_energy(1000) > m.read_energy(1000));
         assert!(m.leakage_mw() > 0.0);
         assert!(m.read_latency().value() > 0.0);
     }
@@ -374,8 +313,6 @@ mod tests {
         let s = SramMacro::with_capacity_kb(256);
         assert_eq!(s.capacity_bits, 256 * 1024 * 8);
         assert!(s.read_energy(64).value() > 0.0);
-        assert!(s.write_energy(64) > s.read_energy(64));
         assert!(s.leakage_mw() > 0.0);
-        assert!(s.effective_bit_area() > s.bit_area);
     }
 }

@@ -138,25 +138,6 @@ impl Pdk {
         }
     }
 
-    /// Returns a copy with the ILV pitch scaled by `factor`, the Case-2
-    /// knob of Sec. III-E.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::InvalidParameter`] when `factor` is not
-    /// finite and positive.
-    pub fn with_ilv_pitch_scaled(mut self, factor: f64) -> TechResult<Self> {
-        if !factor.is_finite() || factor <= 0.0 {
-            return Err(TechError::InvalidParameter {
-                parameter: "ilv pitch factor",
-                value: factor,
-                expected: "finite and > 0",
-            });
-        }
-        self.stack.ilv = self.stack.ilv.with_pitch_scaled(factor);
-        Ok(self)
-    }
-
     /// `true` when CNFET standard cells may be placed.
     pub fn has_cnfet_tier(&self) -> bool {
         self.cnfet_lib.is_some()
@@ -225,14 +206,6 @@ mod tests {
             .area;
         assert!((relaxed_inv / ideal_inv - 1.6).abs() < 1e-9);
         assert!(Pdk::m3d_130nm_relaxed(0.3).is_err());
-    }
-
-    #[test]
-    fn ilv_pitch_scaling() {
-        let pdk = Pdk::m3d_130nm().with_ilv_pitch_scaled(1.3).unwrap();
-        assert!((pdk.ilv().pitch.value() - 0.195).abs() < 1e-12);
-        assert!(Pdk::m3d_130nm().with_ilv_pitch_scaled(0.0).is_err());
-        assert!(Pdk::m3d_130nm().with_ilv_pitch_scaled(f64::NAN).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{TechError, TechResult};
 use crate::layers::IlvSpec;
-use crate::rram::{RramCellModel, SelectorTech};
+use crate::rram::RramCellModel;
 use crate::units::SquareMicrons;
 
 /// First-order scaling factors from the 130 nm calibration node.
@@ -63,18 +63,6 @@ impl NodeScaling {
         })
     }
 
-    /// The identity projection (130 nm).
-    pub fn identity() -> Self {
-        Self {
-            node_nm: 130,
-            logic_area: 1.0,
-            delay: 1.0,
-            energy: 1.0,
-            rram_cell_area: 1.0,
-            ilv_pitch: 1.0,
-        }
-    }
-
     /// Projected RRAM area per bit at this node: the scaled selector
     /// limit floored by the (barely scaled) via-pitch limit `m·β²`.
     pub fn rram_area_per_bit(&self, cell: &RramCellModel, base_ilv: &IlvSpec) -> SquareMicrons {
@@ -92,14 +80,6 @@ impl NodeScaling {
         let beta = base_ilv.pitch.value() * self.ilv_pitch;
         f64::from(cell.vias_per_cell) * beta * beta > selector
     }
-
-    /// Projected γ_cells multiplier vs the 130 nm design point: how much
-    /// the freed-area-to-CS ratio grows (memory shrinks slower than
-    /// logic).
-    pub fn gamma_cells_growth(&self, cell: &RramCellModel, base_ilv: &IlvSpec) -> f64 {
-        let mem_scale = self.rram_area_per_bit(cell, base_ilv) / cell.selector_limited_area;
-        mem_scale / self.logic_area
-    }
 }
 
 /// The standard projection ladder used by the projection experiment.
@@ -108,11 +88,6 @@ pub fn projection_ladder() -> Vec<NodeScaling> {
         .into_iter()
         .map(|n| NodeScaling::from_130nm(n).expect("ladder nodes are valid"))
         .collect()
-}
-
-/// The ideal CNFET selector used for projections.
-pub fn projection_selector() -> SelectorTech {
-    SelectorTech::IDEAL_CNFET
 }
 
 #[cfg(test)]
@@ -124,7 +99,7 @@ mod tests {
         let s = NodeScaling::from_130nm(130).unwrap();
         assert!((s.logic_area - 1.0).abs() < 1e-12);
         assert!((s.delay - 1.0).abs() < 1e-12);
-        assert_eq!(s.node_nm, NodeScaling::identity().node_nm);
+        assert_eq!(s.node_nm, 130);
     }
 
     #[test]
@@ -156,7 +131,8 @@ mod tests {
         let ladder = projection_ladder();
         let mut last = 0.0;
         for s in &ladder {
-            let g = s.gamma_cells_growth(&cell, &ilv);
+            // γ_cells growth: memory shrinks slower than logic.
+            let g = s.rram_area_per_bit(&cell, &ilv) / cell.selector_limited_area / s.logic_area;
             assert!(g >= last, "γ growth must rise as nodes shrink");
             last = g;
         }

@@ -49,13 +49,6 @@ impl Provenance {
         }
     }
 
-    /// Whether the work was reused rather than executed by this caller.
-    /// `Warm` is *not* reuse: the flow ran (and recorded sub-spans);
-    /// only its placement phase was seeded.
-    pub fn is_reuse(self) -> bool {
-        !matches!(self, Provenance::Computed | Provenance::Warm)
-    }
-
     /// Inverse of [`Provenance::name`] — the wire parser for span
     /// subtrees crossing process boundaries.
     pub fn from_name(name: &str) -> Option<Self> {

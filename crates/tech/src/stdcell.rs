@@ -388,21 +388,6 @@ impl CellLibrary {
             })
     }
 
-    /// Looks up a cell by full name, e.g. `"NAND2_X2"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::UnknownCell`] when no cell has that name.
-    pub fn by_name(&self, name: &str) -> TechResult<&StdCell> {
-        self.cells
-            .iter()
-            .find(|c| c.name == name)
-            .ok_or_else(|| TechError::UnknownCell {
-                name: name.to_owned(),
-                library: self.name.clone(),
-            })
-    }
-
     /// The smallest-drive variant of `kind` present in the library.
     ///
     /// # Panics
@@ -505,13 +490,12 @@ mod tests {
     #[test]
     fn name_lookup_and_upsize() {
         let lib = CellLibrary::si_cmos_130();
-        let c = lib.by_name("DFF_X1").unwrap();
+        let c = lib.cell(CellKind::Dff, DriveStrength::X1).unwrap();
         assert!(c.setup.is_some());
         let up = lib.upsize(c).unwrap();
         assert_eq!(up.drive, DriveStrength::X2);
         let top = lib.max_drive(CellKind::Dff);
         assert!(lib.upsize(top).is_none());
-        assert!(lib.by_name("FOO_X9").is_err());
     }
 
     #[test]

@@ -39,13 +39,6 @@ pub enum HeatSource {
     },
 }
 
-impl HeatSource {
-    /// `true` for layers that inject heat.
-    pub fn is_source(self) -> bool {
-        self != HeatSource::Passive
-    }
-}
-
 impl StableHash for HeatSource {
     fn stable_hash(&self, h: &mut StableHasher) {
         match self {

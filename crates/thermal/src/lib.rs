@@ -2,8 +2,7 @@
 //! grid fidelity).
 //!
 //! The analytic eq. 17 lump in `m3d-core` treats each tier pair as one
-//! resistance; this crate replaces it, behind the same
-//! [`m3d_core::TierThermalModel`] trait, with a physical model:
+//! resistance; this crate solves the stack as a physical model:
 //!
 //! 1. **Voxelize** — [`GridConfig::from_stack`] slices the
 //!    `m3d-tech` [`m3d_tech::LayerStack`]'s thermal profile (substrate,
@@ -15,11 +14,12 @@
 //!    thread, deterministic at any worker count; [`step_phases`] adds a coarse explicit-Euler
 //!    transient driven by `m3d-arch` workload [`m3d_arch::trace::Phase`]s.
 //!
-//! [`GridThermalModel`] plugs the grid into tier sweeps and sensitivity
-//! pruning; [`LumpedGridModel`] solves the analytic chain on the same
-//! grid machinery and must agree with eq. 17 within 2 % (the crate's
-//! limiting-case validation). [`ThermalCache`] memoizes solves by
-//! [`m3d_tech::StableHash`] content key.
+//! A grid tier cap is the largest pair count whose steady peak rise stays
+//! within the budget, as the `obs10_thermal` and `thermal_cap` cases
+//! read it off a per-tier-count sweep. [`LumpedGridModel`] solves the
+//! analytic chain on the same grid machinery and must agree with eq. 17
+//! within 2 % (the crate's limiting-case validation). [`ThermalCache`]
+//! memoizes solves by [`m3d_tech::StableHash`] content key.
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,7 @@ pub mod transient;
 pub use cache::ThermalCache;
 pub use error::{ThermalError, ThermalResult};
 pub use grid::GridConfig;
-pub use model::{GridThermalModel, LumpedGridModel};
+pub use model::LumpedGridModel;
 pub use power::PowerMap;
 pub use solve::{solve_steady, SolverConfig, SteadySolution};
 pub use transient::{phase_power, step_phases, PhaseInterval, TransientConfig, TransientResult};

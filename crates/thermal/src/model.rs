@@ -1,124 +1,15 @@
-//! [`TierThermalModel`] implementations backed by the voxel grid.
+//! [`LumpedGridModel`]: the eq. 17 chain solved on the voxel grid.
 //!
-//! [`GridThermalModel`] is the physical model: each queried tier count
-//! voxelizes the stack afresh, deposits a uniform per-pair power budget
-//! and solves steady state — so exploration and sensitivity prune
-//! design points against grid-predicted peaks instead of the eq. 17
-//! lump. [`LumpedGridModel`] runs the same solver on the
-//! [`GridConfig::lumped`] chain, which must agree with the analytic
-//! model within discretization noise — the crate's limiting-case
-//! validation, exercised by `tests/analytic_agreement.rs`.
+//! It runs the grid solver on the [`GridConfig::lumped`] chain, which
+//! must agree with the analytic model within discretization noise — the
+//! crate's limiting-case validation, exercised by
+//! `tests/analytic_agreement.rs` and by the `obs10_thermal` case.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use m3d_core::ThermalModel;
 
-use m3d_core::{ThermalModel, TierThermalModel};
-use m3d_tech::{LayerStack, StableHash, StableHasher};
-
-use crate::error::ThermalResult;
 use crate::grid::GridConfig;
 use crate::power::PowerMap;
 use crate::solve::{solve_steady, SolverConfig};
-
-/// Grid-fidelity thermal model: voxelize, deposit, solve per tier count.
-#[derive(Debug)]
-pub struct GridThermalModel {
-    /// The process stack voxelized per query.
-    pub stack: LayerStack,
-    /// Die footprint, in mm².
-    pub die_mm2: f64,
-    /// Lateral resolution along x.
-    pub nx: usize,
-    /// Lateral resolution along y.
-    pub ny: usize,
-    /// Uniform power per tier pair, in W.
-    pub power_per_tier_w: f64,
-    /// Package + heat-sink resistance, in K/W.
-    pub sink_k_per_w: f64,
-    /// Thermal budget (max rise over ambient), in K.
-    pub max_rise_k: f64,
-    /// Iteration controls for the steady solve.
-    pub solver: SolverConfig,
-    memo: Mutex<HashMap<u32, f64>>,
-}
-
-impl GridThermalModel {
-    /// Conventional-package grid model over the Table I case-study die
-    /// (same R₀ = 1 K/W sink and 60 K budget as
-    /// [`ThermalModel::conventional`]) at an 8×8 lateral resolution.
-    pub fn conventional(stack: LayerStack, die_mm2: f64, power_per_tier_w: f64) -> Self {
-        Self {
-            stack,
-            die_mm2,
-            nx: 8,
-            ny: 8,
-            power_per_tier_w,
-            sink_k_per_w: 1.0,
-            max_rise_k: 60.0,
-            solver: SolverConfig::default(),
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The voxelization this model solves for `tiers` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GridConfig::from_stack`] validation failures.
-    pub fn grid(&self, tiers: u32) -> ThermalResult<GridConfig> {
-        GridConfig::from_stack(
-            &self.stack,
-            self.die_mm2,
-            self.nx,
-            self.ny,
-            tiers,
-            self.sink_k_per_w,
-            self.max_rise_k,
-        )
-    }
-
-    fn solve_rise(&self, tiers: u32) -> f64 {
-        let grid = match self.grid(tiers) {
-            Ok(g) => g,
-            Err(_) => return f64::INFINITY,
-        };
-        let power = PowerMap::uniform(&grid, self.power_per_tier_w);
-        match solve_steady(&grid, &power, &self.solver) {
-            Ok(s) if s.converged => s.peak_rise_k,
-            // A diverged or failed solve must never pass a thermal
-            // check.
-            _ => f64::INFINITY,
-        }
-    }
-}
-
-impl StableHash for GridThermalModel {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.stack.stable_hash(h);
-        self.die_mm2.stable_hash(h);
-        self.nx.stable_hash(h);
-        self.ny.stable_hash(h);
-        self.power_per_tier_w.stable_hash(h);
-        self.sink_k_per_w.stable_hash(h);
-        self.max_rise_k.stable_hash(h);
-        self.solver.stable_hash(h);
-    }
-}
-
-impl TierThermalModel for GridThermalModel {
-    fn temperature_rise(&self, tiers: u32) -> f64 {
-        if let Some(&r) = self.memo.lock().expect("memo poisoned").get(&tiers) {
-            return r;
-        }
-        let r = self.solve_rise(tiers);
-        self.memo.lock().expect("memo poisoned").insert(tiers, r);
-        r
-    }
-
-    fn max_rise_k(&self) -> f64 {
-        self.max_rise_k
-    }
-}
 
 /// The analytic chain solved on the grid: a 1×1-cell stack whose
 /// vertical resistances reproduce eq. 17 exactly.
@@ -138,20 +29,17 @@ impl LumpedGridModel {
             solver: SolverConfig::default(),
         }
     }
-}
 
-impl TierThermalModel for LumpedGridModel {
-    fn temperature_rise(&self, tiers: u32) -> f64 {
+    /// Peak temperature rise over ambient of a `tiers`-pair stack, in K;
+    /// infinite when the solve fails or does not converge, so it never
+    /// passes a thermal check.
+    pub fn temperature_rise(&self, tiers: u32) -> f64 {
         let grid = GridConfig::lumped(&self.analytic, tiers);
         let power = PowerMap::uniform(&grid, self.analytic.power_per_tier_w);
         match solve_steady(&grid, &power, &self.solver) {
             Ok(s) if s.converged => s.peak_rise_k,
             _ => f64::INFINITY,
         }
-    }
-
-    fn max_rise_k(&self) -> f64 {
-        self.analytic.max_rise_k
     }
 }
 
@@ -160,52 +48,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_model_rise_is_monotone_in_tiers() {
-        let m = GridThermalModel::conventional(LayerStack::m3d_130nm(), 100.0, 5.0);
-        let r1 = m.temperature_rise(1);
-        let r2 = m.temperature_rise(2);
-        let r4 = m.temperature_rise(4);
-        assert!(r1 > 0.0);
-        assert!(r2 > r1);
-        assert!(r4 > r2);
-    }
-
-    #[test]
-    fn memoization_returns_identical_values() {
-        let m = GridThermalModel::conventional(LayerStack::m3d_130nm(), 100.0, 5.0);
-        let a = m.temperature_rise(3);
-        let b = m.temperature_rise(3);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn grid_model_caps_tiers_through_the_trait() {
-        // Enough power that the budget binds within the search range.
-        let mut m = GridThermalModel::conventional(LayerStack::m3d_130nm(), 100.0, 25.0);
-        m.max_rise_k = 30.0;
-        let y = m.max_tiers().unwrap();
-        assert!(y >= 1);
-        assert!(m.temperature_rise(y) <= 30.0);
-        assert!(m.temperature_rise(y + 1) > 30.0);
-    }
-
-    #[test]
     fn lumped_grid_model_tracks_the_analytic_cap() {
         let analytic = ThermalModel::conventional(5.0);
         let lumped = LumpedGridModel::new(analytic);
+        let cap = (1u32..)
+            .take_while(|&tiers| lumped.temperature_rise(tiers) <= analytic.max_rise_k)
+            .count();
         assert_eq!(
-            lumped.max_tiers().unwrap(),
-            analytic.max_tiers().unwrap(),
+            cap,
+            analytic.max_tiers().unwrap() as usize,
             "same tier cap through either fidelity"
         );
-    }
-
-    #[test]
-    fn stable_key_tracks_model_content() {
-        let a = GridThermalModel::conventional(LayerStack::m3d_130nm(), 100.0, 5.0);
-        let b = GridThermalModel::conventional(LayerStack::m3d_130nm(), 100.0, 5.0);
-        let c = GridThermalModel::conventional(LayerStack::m3d_130nm(), 100.0, 7.0);
-        assert_eq!(a.stable_key(), b.stable_key());
-        assert_ne!(a.stable_key(), c.stable_key());
     }
 }

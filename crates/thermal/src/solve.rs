@@ -102,16 +102,6 @@ pub struct SteadySolution {
     pub converged: bool,
 }
 
-impl SteadySolution {
-    /// Peak rise of one grid layer, in K.
-    pub fn layer_peak_k(&self, l: usize) -> f64 {
-        let plane = self.nx * self.ny;
-        self.t_k[l * plane..(l + 1) * plane]
-            .iter()
-            .fold(0.0f64, |m, &t| m.max(t))
-    }
-}
-
 /// The per-cell SOR update and the shared stencil arithmetic.
 struct Stencil<'a> {
     asm: &'a Assembled,

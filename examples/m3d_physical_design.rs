@@ -1,15 +1,12 @@
 //! Runs the full RTL-to-GDS flow on the 2D baseline and on the
 //! iso-footprint, iso-memory-capacity M3D design (the Fig. 2 / Fig. 4b
-//! experiment), prints the post-route comparison, and writes a GDS-like
-//! JSON layout for each design.
+//! experiment) and prints the post-route comparison.
 //!
 //! Run with `cargo run --release --example m3d_physical_design`.
 //! (Pass `--quick` to use a scaled-down 4×4 computing sub-system.)
 
-use std::fs::File;
-
 use m3d::netlist::{CsConfig, PeConfig};
-use m3d::pd::{FlowConfig, FlowReport, LayoutExport, Rtl2GdsFlow};
+use m3d::pd::{FlowConfig, FlowReport, Rtl2GdsFlow};
 
 fn row(label: &str, a: impl std::fmt::Display, b: impl std::fmt::Display) {
     println!("{label:<34} {a:>14} {b:>14}");
@@ -93,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         FlowConfig::baseline_2d().with_cs(cs)
     };
-    let (r2d, a2d) = Rtl2GdsFlow::new(base_cfg).run()?;
+    let (r2d, _) = Rtl2GdsFlow::new(base_cfg).run()?;
 
     println!("== M3D flow (8 CSs, CNFET selectors, iso-footprint) ==");
     let m3d_cfg = if quick {
@@ -101,15 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         FlowConfig::m3d(8).with_cs(cs).with_die(r2d.die)
     };
-    let (r3d, a3d) = Rtl2GdsFlow::new(m3d_cfg).run()?;
+    let (r3d, _) = Rtl2GdsFlow::new(m3d_cfg).run()?;
 
     println!("\n== Post-route comparison (Fig. 2) ==");
     report_pair(&r2d, &r3d);
-
-    for (name, art) in [("layout_2d.json", &a2d), ("layout_m3d.json", &a3d)] {
-        let path = std::env::temp_dir().join(name);
-        LayoutExport::from_artifacts(art).write_json(File::create(&path)?)?;
-        println!("wrote {}", path.display());
-    }
     Ok(())
 }

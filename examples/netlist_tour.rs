@@ -1,13 +1,12 @@
 //! A tour of the netlist substrate: generate the accelerator's datapath
-//! blocks, prove they compute with the functional simulator, round-trip
-//! through structural Verilog, and export the PDK views (Liberty/LEF)
-//! that commercial tools would consume.
+//! blocks, prove they compute with the functional simulator, and
+//! round-trip through structural Verilog.
 //!
 //! Run with `cargo run --example netlist_tour`.
 
 use m3d::netlist::gen::{array_multiplier, ripple_carry_adder};
 use m3d::netlist::{from_verilog, to_verilog, Netlist, Simulator};
-use m3d::tech::{to_lef, to_liberty, CellLibrary, Tier};
+use m3d::tech::Tier;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Generate an 8×8 array multiplier ---------------------------
@@ -71,16 +70,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sim.eval();
     let sum = sim.bus_value(&out.sum) | (u64::from(sim.value(out.cout)) << 16);
     println!("\n16-bit adder: 40000 + 30000 = {sum} ✓");
-
-    // --- 5. PDK views -----------------------------------------------------
-    let lib = CellLibrary::si_cmos_130();
-    let liberty = to_liberty(&lib);
-    let lef = to_lef(&lib);
-    println!(
-        "\nPDK views: Liberty {} lines, LEF {} lines ({} cells characterised)",
-        liberty.lines().count(),
-        lef.lines().count(),
-        lib.cells().len()
-    );
     Ok(())
 }

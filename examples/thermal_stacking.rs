@@ -10,9 +10,9 @@ use m3d::arch::models;
 use m3d::core::cases::BaselineAreas;
 use m3d::core::explore::tier_sweep;
 use m3d::core::framework::{ChipParams, WorkloadPoint};
-use m3d::core::thermal::{ThermalModel, TierThermalModel};
+use m3d::core::thermal::ThermalModel;
 use m3d::tech::LayerStack;
-use m3d::thermal::GridThermalModel;
+use m3d::thermal::{solve_steady, GridConfig, PowerMap, SolverConfig, ThermalError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let areas = BaselineAreas::case_study_64mb();
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>6} {:>6} {:>14} {:>16}",
         "pairs", "N", "ResNet-18 EDP", "L4.1-CONV EDP"
     );
-    let whole = tier_sweep(&areas, &base, &resnet, 8, None);
-    let single = tier_sweep(&areas, &base, &big_layer, 8, None);
+    let whole = tier_sweep(&areas, &base, &resnet, 8);
+    let single = tier_sweep(&areas, &base, &big_layer, 8);
     for (w, s) in whole.iter().zip(&single) {
         println!(
             "{:>6} {:>6} {:>13.2}x {:>15.2}x",
@@ -60,7 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Thermally capped sweep (5 W per pair) ==");
     let thermal = ThermalModel::conventional(5.0);
-    let capped = tier_sweep(&areas, &base, &resnet, 8, Some(&thermal));
+    let cap = thermal.max_tiers().map_or(8, |c| c.min(8));
+    let capped = tier_sweep(&areas, &base, &resnet, cap);
     println!(
         "allowed pairs: {} of 8 requested; best EDP benefit {:.2}x",
         capped.len(),
@@ -69,15 +70,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same sweep at grid fidelity: the monolithic stack's BEOL
     // conducts far better than the 0.35 K/W-per-pair bonded assumption,
-    // so the voxel model admits deeper stacks through the same trait.
+    // so the voxel model admits deeper stacks. Each pair count is
+    // voxelized and solved under the same 1 K/W sink and 60 K budget.
     println!("\n== Grid-fidelity cap (voxelized RC solve, 5 W per pair) ==");
-    let grid = GridThermalModel::conventional(LayerStack::m3d_130nm(), areas.total_mm2(), 5.0);
+    let stack = LayerStack::m3d_130nm();
+    let rises = (1..=8)
+        .map(|tiers| {
+            let grid = GridConfig::from_stack(&stack, areas.total_mm2(), 8, 8, tiers, 1.0, 60.0)?;
+            let power = PowerMap::uniform(&grid, 5.0);
+            let sol = solve_steady(&grid, &power, &SolverConfig::default())?;
+            Ok(if sol.converged {
+                sol.peak_rise_k
+            } else {
+                f64::INFINITY
+            })
+        })
+        .collect::<Result<Vec<f64>, ThermalError>>()?;
     println!(
         "grid model: {:.1} K at 4 pairs (eq. 17 predicts {:.1} K)",
-        grid.temperature_rise(4),
+        rises[3],
         thermal.temperature_rise(4)
     );
-    let grid_capped = tier_sweep(&areas, &base, &resnet, 8, Some(&grid));
+    let grid_cap = rises.iter().take_while(|&&r| r <= 60.0).count() as u32;
+    let grid_capped = tier_sweep(&areas, &base, &resnet, grid_cap);
     println!(
         "allowed pairs: {} of 8 requested; best EDP benefit {:.2}x",
         grid_capped.len(),

@@ -116,7 +116,7 @@ fn design_point_from_flow_report_roundtrip() {
         .unwrap();
     let pdk = Pdk::m3d_130nm();
     let rram = RramMacro::with_capacity_mb(64, 1, 256, SelectorTech::SiFet).unwrap();
-    let dp = DesignPoint::from_flow_report(&pdk, &report, &rram).unwrap();
+    let dp = DesignPoint::derive(&pdk, &rram, report.cs_demand_mm2).unwrap();
     // Tiny CSs → many fit under the 64 MB array.
     assert!(dp.n_cs > 8);
     assert!((dp.cs_demand_mm2 - report.cs_demand_mm2).abs() < 1e-12);

@@ -4,7 +4,7 @@
 //! is `cargo run --release -p m3d-bench --bin fig2_physical_design`).
 
 use m3d::netlist::{CsConfig, PeConfig};
-use m3d::pd::{FlowConfig, LayoutExport, Rtl2GdsFlow};
+use m3d::pd::{FlowConfig, Rtl2GdsFlow};
 
 fn small_cs() -> CsConfig {
     CsConfig {
@@ -66,12 +66,6 @@ fn iso_footprint_pair_end_to_end() {
     // Netlists stay structurally clean through optimisation.
     assert!(a2d.netlist.lint().is_empty());
     assert!(a3d.netlist.lint().is_empty());
-
-    // Layout exports round-trip.
-    for art in [&a2d, &a3d] {
-        let json = LayoutExport::from_artifacts(art).to_json().unwrap();
-        assert!(json.contains("rram_array"));
-    }
 }
 
 #[test]

@@ -146,7 +146,7 @@ fn fig10d_tier_shape() {
     // Obs. 9: one extra pair helps, then a plateau.
     let areas = BaselineAreas::case_study_64mb();
     let base = ChipParams::baseline_2d();
-    let pts = tier_sweep(&areas, &base, &resnet_points(), 8, None);
+    let pts = tier_sweep(&areas, &base, &resnet_points(), 8);
     assert!(
         pts[1].edp_benefit > pts[0].edp_benefit * 1.05,
         "one pair helps"
@@ -159,7 +159,7 @@ fn fig10d_tier_shape() {
         8,
         16,
     )];
-    let lp = tier_sweep(&areas, &base, &layer, 8, None);
+    let lp = tier_sweep(&areas, &base, &layer, 8);
     assert!(
         lp.last().unwrap().edp_benefit > 20.0,
         "paper: approaches 23x, got {}",

@@ -1,7 +1,8 @@
 //! Source gates: every experiment binary drives the typed case engine,
-//! and retired helpers and APIs stay deleted. The scan is textual, so a
-//! retired name coming back in code, a call or a doc link fails with the
-//! line that brought it back. This file names every pattern and is not
+//! retired helpers and APIs stay deleted, and every public module is
+//! reached from code outside it. The scans are textual, so a retired
+//! name coming back in code, a call or a doc link fails with the line
+//! that brought it back. This file names every pattern and is not
 //! scanned.
 
 use std::fs;
@@ -55,6 +56,39 @@ const RETIRED: &[&str] = &[
     "SocRoofline",
     "trace_layer",
     "ExecutionTrace",
+    // Writers, models and options no binary, case, service or benchmark
+    // reached: the Liberty/LEF, GDS-JSON and SPEF writers, the device
+    // model, the carry-select adder, the memoised grid tier-cap model
+    // with its trait, the thermal-pruned sensitivity variant, two
+    // one-line wrappers, and the incremental re-route.
+    "to_liberty",
+    "to_lef",
+    "LayoutExport",
+    "to_spef",
+    "carry_select_adder",
+    "DeviceModel",
+    "GridThermalModel",
+    "TierThermalModel",
+    "edp_benefit_sensitivity_pruned",
+    "fig5_comparisons(",
+    "from_flow_report(",
+    "reestimate_routing",
+];
+
+/// Public modules nothing outside them reaches, each kept on purpose.
+const UNREACHED_ON_PURPOSE: &[(&str, &str)] = &[
+    (
+        "crates/netlist/src/eval.rs",
+        "the functional oracle that shows the generators add and multiply",
+    ),
+    (
+        "crates/netlist/src/verilog.rs",
+        "the ingest round-trip oracle; tests/golden_bits.rs pins its bytes",
+    ),
+    (
+        "crates/pd/src/drc.rs",
+        "the legality oracle for `legalize` and tests/flow_quality.rs",
+    ),
 ];
 
 /// `FlowCache` shims that must not regrow in `engine/cache.rs`.
@@ -134,4 +168,145 @@ fn retired_names_stay_deleted_and_binaries_use_the_engine() {
     }
     assert!(bin_count > 0, "no experiment binaries found");
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// `text` without `#[cfg(test)]` items, `use`/`mod` statements and `//`
+/// comments: the code a module's names must appear in to count as
+/// reached.
+fn non_test_code(text: &str) -> String {
+    let mut out = String::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let trimmed = line.trim_start();
+        if trimmed == "#[cfg(test)]" {
+            // A one-line item ends at its `;`; rustfmt closes a block
+            // item at the attribute's own indent.
+            let close = format!("{}}}", &line[..line.len() - trimmed.len()]);
+            if lines.next().is_some_and(|item| item.contains('{')) {
+                for inner in lines.by_ref() {
+                    if inner == close {
+                        break;
+                    }
+                }
+            }
+            continue;
+        }
+        let item = trimmed
+            .strip_prefix("pub(crate) ")
+            .or_else(|| trimmed.strip_prefix("pub "))
+            .unwrap_or(trimmed);
+        if item.starts_with("use ") || item.starts_with("mod ") {
+            let mut end = line;
+            while !end.trim_end().ends_with(';') && !end.trim_end().ends_with('{') {
+                match lines.next() {
+                    Some(next) => end = next,
+                    None => break,
+                }
+            }
+            continue;
+        }
+        out.push_str(line.find("//").map_or(line, |at| &line[..at]));
+        out.push('\n');
+    }
+    out
+}
+
+/// The names a module file declares at column 0 as `pub` items.
+fn public_names(text: &str) -> Vec<&str> {
+    const KINDS: &[&str] = &[
+        "fn ", "struct ", "enum ", "trait ", "const ", "static ", "type ",
+    ];
+    text.lines()
+        .filter_map(|line| line.strip_prefix("pub "))
+        .filter_map(|rest| KINDS.iter().find_map(|kind| rest.strip_prefix(kind)))
+        .map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// Whether `name` occurs in `code` with no identifier character on
+/// either side.
+fn mentions(code: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(name).any(|(at, _)| {
+        !code[..at].chars().next_back().is_some_and(ident)
+            && !code[at + name.len()..].chars().next().is_some_and(ident)
+    })
+}
+
+#[test]
+fn every_public_module_is_reached() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates"), &mut files);
+    files.retain(|p| p.components().any(|c| c.as_os_str() == "src"));
+    rust_sources(&root.join("perfbench/src"), &mut files);
+    files.sort();
+    let code: Vec<(PathBuf, String)> = files
+        .iter()
+        .map(|p| {
+            let text = fs::read_to_string(p).expect("source is UTF-8");
+            (
+                p.strip_prefix(root).expect("under the root").to_owned(),
+                non_test_code(&text),
+            )
+        })
+        .collect();
+
+    let mut unreached = Vec::new();
+    let mut allowed = Vec::new();
+    for decl in code
+        .iter()
+        .map(|(p, _)| p)
+        .filter(|p| p.ends_with("lib.rs") || p.ends_with("mod.rs"))
+    {
+        let dir = decl.parent().expect("a source file has a directory");
+        let raw = fs::read_to_string(root.join(decl)).expect("source is UTF-8");
+        for module in raw
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+        {
+            let (file, inside) = if root.join(dir).join(format!("{module}.rs")).is_file() {
+                let file = dir.join(format!("{module}.rs"));
+                (file.clone(), file)
+            } else {
+                (dir.join(module).join("mod.rs"), dir.join(module))
+            };
+            let body = fs::read_to_string(root.join(&file)).expect("module file exists");
+            let names = public_names(&body);
+            if names.is_empty() {
+                continue;
+            }
+            let reached = code
+                .iter()
+                .filter(|(p, _)| !p.starts_with(&inside))
+                .any(|(_, other)| names.iter().any(|n| mentions(other, n)));
+            let on_purpose = UNREACHED_ON_PURPOSE
+                .iter()
+                .any(|(path, _)| Path::new(path) == file);
+            match (reached, on_purpose) {
+                (false, false) => unreached.push(format!(
+                    "{}: none of {names:?} appears outside it",
+                    file.display()
+                )),
+                (false, true) => allowed.push(file),
+                (true, true) => unreached.push(format!(
+                    "{}: reached now; drop it from UNREACHED_ON_PURPOSE",
+                    file.display()
+                )),
+                (true, false) => {}
+            }
+        }
+    }
+    assert!(unreached.is_empty(), "\n{}", unreached.join("\n"));
+    assert_eq!(
+        allowed.len(),
+        UNREACHED_ON_PURPOSE.len(),
+        "an UNREACHED_ON_PURPOSE entry names no public module: {allowed:?}"
+    );
 }
