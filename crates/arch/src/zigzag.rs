@@ -253,7 +253,7 @@ pub fn map_layer(chip: &MapperChip, layer: &Layer) -> Mapping {
                     if let Some(cost) =
                         evaluate(chip, layer, &order, tk, tc, tp, (kt, ct, pt), (ks, cs, ps))
                     {
-                        let better = best.as_ref().map_or(true, |b| cost.edp() < b.cost.edp());
+                        let better = best.as_ref().is_none_or(|b| cost.edp() < b.cost.edp());
                         if better {
                             best = Some(Mapping {
                                 order,

@@ -1,5 +1,6 @@
 //! Criterion bench: cluster-based annealing global placement on a
-//! mid-size computing sub-system.
+//! mid-size computing sub-system, and on the paper-size iso-footprint
+//! M3D(8) design that `fig2` places.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -26,10 +27,33 @@ fn setup() -> (Clustering, Floorplan) {
     (cl, fp)
 }
 
+/// The paper-size M3D(8) design inside the die planned for the
+/// paper-size 2D baseline (the iso-footprint pair of Fig. 2).
+fn setup_m3d8() -> (Clustering, Floorplan) {
+    let cfg2d = SocConfig::baseline_2d();
+    let mut nl2d = Netlist::new("bench_2d");
+    accelerator_soc(&mut nl2d, &cfg2d).unwrap();
+    let die = Floorplan::plan(&Pdk::baseline_2d_130nm(), &cfg2d, &nl2d, None)
+        .unwrap()
+        .die;
+    drop(nl2d);
+    let cfg = SocConfig::m3d(8);
+    let pdk = Pdk::m3d_130nm();
+    let mut nl = Netlist::new("bench_m3d8");
+    accelerator_soc(&mut nl, &cfg).unwrap();
+    let fp = Floorplan::plan(&pdk, &cfg, &nl, Some(die)).unwrap();
+    let cl = Clustering::build(&nl, &pdk).unwrap();
+    (cl, fp)
+}
+
 fn bench_placement(c: &mut Criterion) {
     let (cl, fp) = setup();
     c.bench_function("place_8x8_cs_quick", |b| {
         b.iter(|| place(&cl, &fp, &PlacerConfig::quick()).unwrap())
+    });
+    let (cl, fp) = setup_m3d8();
+    c.bench_function("place_m3d8_default", |b| {
+        b.iter(|| place(&cl, &fp, &PlacerConfig::default()).unwrap())
     });
 }
 

@@ -256,7 +256,7 @@ fn derive_record(id: &str, reproduces: &str, result: &Value) -> ExperimentRecord
 /// Exits 2 on parameter errors (the CLI analogue of a `BadRequest`
 /// wire rejection) and 1 on evaluation or I/O failures.
 pub fn case_main(name: &str, args: RunArgs) {
-    let Some(case) = registry().into_iter().find(|c| c.name() == name) else {
+    let Some(case) = registry().iter().find(|c| c.name() == name) else {
         eprintln!("error: case `{name}` is not registered");
         std::process::exit(2);
     };

@@ -47,7 +47,7 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 
 #[test]
 fn every_experiment_is_registered_with_a_schema() {
-    let names: Vec<&str> = registry().into_iter().map(|c| c.name()).collect();
+    let names: Vec<&str> = registry().iter().map(|c| c.name()).collect();
     for want in EXPERIMENTS {
         assert!(names.contains(&want), "case `{want}` is not registered");
     }
@@ -68,7 +68,7 @@ fn every_experiment_is_registered_with_a_schema() {
 #[test]
 fn ingest_rejects_malformed_payloads_before_enqueue() {
     let case = registry()
-        .into_iter()
+        .iter()
         .find(|c| c.name() == "ingest")
         .expect("registered");
     // validate() is the service's pre-queue gate: a syntactically
@@ -147,7 +147,7 @@ fn non_object_params_are_bad_requests_everywhere() {
 #[test]
 fn typed_param_values_are_range_checked() {
     let corners = registry()
-        .into_iter()
+        .iter()
         .find(|c| c.name() == "corners_signoff")
         .expect("registered");
     let err = corners

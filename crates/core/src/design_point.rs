@@ -41,7 +41,10 @@ impl DesignPoint {
     /// Returns [`CoreError::InvalidParameter`] for a non-positive CS
     /// area, and propagates technology errors.
     pub fn derive(pdk: &Pdk, rram_2d: &RramMacro, cs_demand_mm2: f64) -> CoreResult<Self> {
-        if !(cs_demand_mm2 > 0.0) || !cs_demand_mm2.is_finite() {
+        // `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let invalid = !(cs_demand_mm2 > 0.0) || !cs_demand_mm2.is_finite();
+        if invalid {
             return Err(CoreError::InvalidParameter {
                 parameter: "cs_demand_mm2",
                 value: cs_demand_mm2,

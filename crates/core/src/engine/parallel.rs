@@ -143,8 +143,8 @@ where
                         let mut out = Vec::new();
                         while let Some((start, end)) = claim_chunk(cursor, n, jobs) {
                             chunks.fetch_add(1, Ordering::Relaxed);
-                            for i in start..end {
-                                out.push((i, f(&items[i])));
+                            for (i, item) in (start..end).zip(&items[start..end]) {
+                                out.push((i, f(item)));
                             }
                         }
                         out

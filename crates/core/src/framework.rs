@@ -109,7 +109,10 @@ impl ChipParams {
             ("cycle_ns", self.cycle_ns),
         ];
         for (name, v) in checks {
-            if !(v > 0.0) || !v.is_finite() {
+            // `!(v > 0.0)` also rejects NaN, which `v <= 0.0` would let through.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let invalid = !(v > 0.0) || !v.is_finite();
+            if invalid {
                 return Err(CoreError::InvalidParameter {
                     parameter: name,
                     value: v,

@@ -94,7 +94,7 @@ pub fn render_parts(
     for (name, value) in &counters {
         out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
     }
-    let mut taken: BTreeMap<String, ()> = counters.into_iter().map(|(k, _)| (k, ())).collect();
+    let mut taken: BTreeMap<String, ()> = counters.into_keys().map(|k| (k, ())).collect();
     let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
     for (name, value) in raw_gauges {
         // Last-value semantics extend to sanitised-name collisions: the

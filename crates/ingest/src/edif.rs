@@ -346,18 +346,12 @@ impl Walker<'_> {
                         .ok_or_else(|| IngestError::new(l, c, "missing cell name in `cellRef`"))?;
                     cell_ref = Some(self.name_of(nf)?);
                 }
-                "property" => {
-                    if self.property_name(sub).as_deref() == Some("tier") {
-                        match self.string_value(sub, l, c)?.as_str() {
-                            "cnfet" => tier_cnfet = true,
-                            "si_cmos" => tier_cnfet = false,
-                            other => {
-                                return Err(IngestError::new(
-                                    l,
-                                    c,
-                                    format!("unknown tier `{other}`"),
-                                ));
-                            }
+                "property" if self.property_name(sub).as_deref() == Some("tier") => {
+                    match self.string_value(sub, l, c)?.as_str() {
+                        "cnfet" => tier_cnfet = true,
+                        "si_cmos" => tier_cnfet = false,
+                        other => {
+                            return Err(IngestError::new(l, c, format!("unknown tier `{other}`")));
                         }
                     }
                 }

@@ -104,8 +104,8 @@ impl<'a> Simulator<'a> {
                 }
             }
         };
-        for ni in 0..netlist.net_count() {
-            if resolved[ni] {
+        for (ni, &r) in resolved.iter().enumerate() {
+            if r {
                 dec(ni, &mut remaining, &mut ready);
             }
         }

@@ -152,7 +152,7 @@ pub fn systolic_cs(
     let zero_psum = vec![zero; ab];
     let mut col_psum: Vec<Vec<NetId>> = Vec::with_capacity(cfg.cols);
     let mut act_bus = row_act;
-    for c in 0..cfg.cols {
+    for (c, wcol) in weight_cols.iter().enumerate() {
         let mut psum = zero_psum.clone();
         for (r, act) in act_bus.iter_mut().enumerate() {
             let out = mac_pe(
@@ -161,7 +161,7 @@ pub fn systolic_cs(
                 tier,
                 cfg.pe,
                 act,
-                &weight_cols[c],
+                wcol,
                 &psum,
             )?;
             *act = out.act_out;
@@ -219,14 +219,14 @@ pub fn systolic_cs(
                 continue;
             }
             let mut merged = Vec::with_capacity(pair[0].len());
-            for i in 0..pair[0].len() {
+            for (i, &a) in pair[0].iter().enumerate() {
                 let y = nl.add_net(format_args!("{prefix}/omux{stage}_{pair_idx}_{i}"));
                 nl.add_cell(
                     format_args!("{prefix}/omuxc{stage}_{pair_idx}_{i}"),
                     CellKind::Mux2,
                     DriveStrength::X1,
                     tier,
-                    &[pair[0][i], pair[1][i], sel],
+                    &[a, pair[1][i], sel],
                     &[y],
                 )?;
                 merged.push(y);

@@ -75,15 +75,13 @@ pub fn macro_kind_from_model(model: &str, drive_count: usize) -> Option<Result<M
             Ok(MacroKind::Rram(mac))
         })();
         Some(parsed)
-    } else if let Some(rest) = model.strip_prefix("SRAM_") {
-        Some(
+    } else {
+        model.strip_prefix("SRAM_").map(|rest| {
             rest.strip_suffix("KB")
                 .and_then(|v| v.parse().ok())
                 .map(|kb| MacroKind::Sram(SramMacro::with_capacity_kb(kb)))
-                .ok_or_else(|| format!("malformed SRAM model `{model}`")),
-        )
-    } else {
-        None
+                .ok_or_else(|| format!("malformed SRAM model `{model}`"))
+        })
     }
 }
 

@@ -112,7 +112,6 @@ pub fn legalize(
         let mut best: Option<(usize, f64, f64)> = None; // (row, x, cost)
         let mut radius = 0usize;
         loop {
-            let mut any_candidate = false;
             for dir in [-1isize, 1] {
                 let idx = start as isize + dir * radius as isize;
                 if dir == 1 && radius == 0 {
@@ -127,7 +126,6 @@ pub fn legalize(
                     continue; // row full
                 }
                 let x = tx.max(r.cursor).min(r.x1 - w);
-                any_candidate = true;
                 let cost = (x - tx).abs() + (r.y - ty).abs();
                 if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
                     best = Some((idx as usize, x, cost));
@@ -143,7 +141,6 @@ pub fn legalize(
             if radius > rows.len() {
                 break;
             }
-            let _ = any_candidate;
         }
         // Fallback (no row had space at/right of the target): append to
         // the least-loaded row that still has room — never overlapping.

@@ -14,19 +14,43 @@
 //! 32-bit bus between two PEs is 32 nets over the same two clusters),
 //! and nets with equal cluster sets have equal bounding boxes. The
 //! annealer therefore groups nets by cluster set and caches one HPWL per
-//! group. A move recomputes each of the moved cluster's groups once,
-//! then forms the HPWL change by replaying, in net order over the
-//! cluster's nets, `d -= old` for every net followed by `d += new` for
-//! every net, with each net reading its group's cached old and proposed
-//! values. Cached values are written back only when the move is
-//! accepted.
+//! group. A move recomputes each of the moved cluster's groups once.
+//! The exact HPWL change is the chain that replays, in net order over
+//! the cluster's nets, `d -= old` for every net followed by `d += new`
+//! for every net, with each net reading its group's cached old and
+//! proposed values. Cached values are written back only when the move
+//! is accepted.
 //!
 //! **Invariant:** every cached group HPWL equals, bit for bit, the
 //! bounding box of its clusters at the current positions. Because the
-//! replay performs the same floating-point operations in the same order
+//! chain performs the same floating-point operations in the same order
 //! as summing per-net boxes would, every cost, accept decision, RNG
 //! draw, [`Placement`] and `place` span is bit-identical to per-net
 //! evaluation; the tests hold the placer to a per-net reference.
+//!
+//! # Filtered decisions
+//!
+//! Almost every move is rejected, and a rejected move needs only the
+//! side of the Metropolis threshold its cost falls on, not the chain's
+//! bits. So a move first forms the estimate `e = Σ m_g·(new_g − old_g)`
+//! over the cluster's `k` distinct groups (`m_g` of its `n` nets in
+//! group `g`) with the bound `B = 2·(2n + k + 8)·ε·Σ m_g·(new_g + old_g)`
+//! (plus `f64::MIN_POSITIVE`), which covers the recursive-summation
+//! error of both the chain and `e` with a factor-2 margin. Rounding
+//! `x + d_of` is monotone in `x`, so `(e − B) + d_of` and `(e + B) +
+//! d_of` bracket the cost the chain would give. The rule accepts without
+//! a draw when the whole bracket is negative; when it is positive it
+//! draws `u`, as the plain rule would, and rejects or accepts when `u`
+//! clears both ends' `exp` thresholds by a `2⁻⁴⁰` slack that absorbs
+//! libm's error. Every other move, and every accepted one, runs the
+//! exact chain, so each decision, draw and `hpwl_total` keeps the bits
+//! of the plain rule on the chain. At paper size, the chain runs on the
+//! accepted moves alone.
+//!
+//! A rejected move's density-bin update is rolled back by replaying the
+//! inverse additions in the same order, not by restoring a snapshot:
+//! `(u − a) + a` need not equal `u`, and that rounding reaches
+//! [`Placement::overflow`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,6 +173,17 @@ struct Bins {
     used: Vec<f64>,
 }
 
+/// The bins a cluster's footprint covers, and the share of its demand
+/// each of them carries.
+#[derive(Clone, Copy)]
+struct BinBlock {
+    x0: usize,
+    y0: usize,
+    x1: usize,
+    y1: usize,
+    per_bin: f64,
+}
+
 impl Bins {
     fn new(fp: &Floorplan, bin_size: f64) -> Self {
         let w = fp.die.width().value();
@@ -183,7 +218,9 @@ impl Bins {
         }
     }
 
-    fn block_for(&self, p: Point, side: f64) -> (usize, usize, usize, usize) {
+    /// The block of a square footprint of edge `side` centred at `p`
+    /// that spreads `demand` evenly over its bins.
+    fn block(&self, p: Point, side: f64, demand: f64) -> BinBlock {
         let half = side / 2.0;
         let x0 = ((p.x.value() - half - self.origin.0) / self.size)
             .floor()
@@ -195,26 +232,41 @@ impl Bins {
             (((p.x.value() + half - self.origin.0) / self.size).floor() as usize).min(self.nx - 1);
         let y1 =
             (((p.y.value() + half - self.origin.1) / self.size).floor() as usize).min(self.ny - 1);
-        (x0.min(self.nx - 1), y0.min(self.ny - 1), x1, y1)
+        let (x0, y0) = (x0.min(self.nx - 1), y0.min(self.ny - 1));
+        let nbins = ((x1.saturating_sub(x0) + 1) * (y1.saturating_sub(y0) + 1)) as f64;
+        BinBlock {
+            x0,
+            y0,
+            x1,
+            y1,
+            per_bin: demand / nbins,
+        }
     }
 
-    /// Adds (`sign = +1`) or removes (`sign = -1`) a cluster's demand at
-    /// `p`, returning the change in total overflow.
-    fn apply(&mut self, p: Point, side: f64, demand: f64, sign: f64) -> f64 {
-        let (x0, y0, x1, y1) = self.block_for(p, side);
-        let nbins = ((x1.saturating_sub(x0) + 1) * (y1.saturating_sub(y0) + 1)) as f64;
-        let per_bin = demand / nbins;
+    /// Adds (`sign = +1`) or removes (`sign = -1`) a block's demand,
+    /// returning the change in total overflow.
+    fn apply(&mut self, b: &BinBlock, sign: f64) -> f64 {
         let mut delta = 0.0;
-        for by in y0..=y1 {
-            for bx in x0..=x1 {
+        for by in b.y0..=b.y1 {
+            for bx in b.x0..=b.x1 {
                 let i = by * self.nx + bx;
                 let before = (self.used[i] - self.capacity[i]).max(0.0);
-                self.used[i] += sign * per_bin;
+                self.used[i] += sign * b.per_bin;
                 let after = (self.used[i] - self.capacity[i]).max(0.0);
                 delta += after - before;
             }
         }
         delta
+    }
+
+    /// [`Bins::apply`] without the overflow change: the same additions
+    /// in the same order, so `used` rounds exactly as it would.
+    fn replay(&mut self, b: &BinBlock, sign: f64) {
+        for by in b.y0..=b.y1 {
+            for bx in b.x0..=b.x1 {
+                self.used[by * self.nx + bx] += sign * b.per_bin;
+            }
+        }
     }
 
     fn total_overflow(&self) -> f64 {
@@ -241,10 +293,15 @@ trait HpwlCost<'a>: Sized {
     /// total HPWL summed in net order.
     fn build(clustering: &'a Clustering, pos: &[Point]) -> (Self, f64);
 
-    /// Moves cluster `ci` to `to` in `pos` and returns the HPWL change,
-    /// accumulated as `-old` for each of the cluster's nets in net
-    /// order, then `+new` for each.
-    fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> f64;
+    /// Moves cluster `ci` to `to` in `pos` and returns an estimate `e` of
+    /// the HPWL change with a bound `b`: [`HpwlCost::exact`] lies in
+    /// `[e - b, e + b]` as evaluated in `f64`.
+    fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> (f64, f64);
+
+    /// The HPWL change of the last proposal for cluster `ci`, accumulated
+    /// as `-old` for each of the cluster's nets in net order, then `+new`
+    /// for each.
+    fn exact(&self, ci: usize) -> f64;
 
     /// Keeps the last proposal for cluster `ci`. On rejection the caller
     /// restores `pos` instead.
@@ -264,8 +321,12 @@ struct GroupedNets {
     proposed: Vec<f64>,
     /// Per cluster, the group of each of its nets, in net order.
     net_groups: Vec<Vec<u32>>,
-    /// Per cluster, its distinct groups.
-    groups: Vec<Vec<u32>>,
+    /// Per cluster, its distinct groups, each with the number of the
+    /// cluster's nets in it.
+    groups: Vec<Vec<(u32, f64)>>,
+    /// Per cluster, the factor that turns the sum of its nets' old and
+    /// new HPWLs into the bound of [`HpwlCost::propose`].
+    bound_scale: Vec<f64>,
 }
 
 impl GroupedNets {
@@ -292,14 +353,30 @@ impl HpwlCost<'_> for GroupedNets {
                 net_groups[c as usize].push(g);
             }
         }
-        let groups = net_groups
+        let groups: Vec<Vec<(u32, f64)>> = net_groups
             .iter()
             .map(|gs| {
-                let mut distinct = gs.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
+                let mut sorted = gs.clone();
+                sorted.sort_unstable();
+                let mut distinct: Vec<(u32, f64)> = Vec::new();
+                for g in sorted {
+                    match distinct.last_mut() {
+                        Some((last, m)) if *last == g => *m += 1.0,
+                        _ => distinct.push((g, 1.0)),
+                    }
+                }
                 distinct
             })
+            .collect();
+        // The chain's 2n - 1 rounded additions and the estimate's k + 1
+        // rounding steps err by at most (γ_{2n-1} + γ_{k+1})·Σ m_g·(new_g +
+        // old_g), about (2n + k)·ε/2 of that sum (Higham's γ_m = m·u / (1 -
+        // m·u), u = ε/2). The factor 2·(2n + k + 8)·ε is over four times
+        // that, which also covers rounding in the bound itself.
+        let bound_scale = net_groups
+            .iter()
+            .zip(&groups)
+            .map(|(nets, gs)| 2.0 * (2 * nets.len() + gs.len() + 8) as f64 * f64::EPSILON)
             .collect();
         let hpwl: Vec<f64> = member_start
             .windows(2)
@@ -314,15 +391,28 @@ impl HpwlCost<'_> for GroupedNets {
             proposed,
             net_groups,
             groups,
+            bound_scale,
         };
         (cost, total)
     }
 
-    fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> f64 {
+    fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> (f64, f64) {
         pos[ci] = to;
-        for &g in &self.groups[ci] {
-            self.proposed[g as usize] = box_hpwl(self.members(g as usize), pos);
+        let mut estimate = 0.0;
+        let mut magnitude = 0.0;
+        for &(g, m) in &self.groups[ci] {
+            let g = g as usize;
+            let new = box_hpwl(self.members(g), pos);
+            let old = self.hpwl[g];
+            self.proposed[g] = new;
+            estimate += m * (new - old);
+            magnitude += m * (new + old);
         }
+        let bound = self.bound_scale[ci] * magnitude + f64::MIN_POSITIVE;
+        (estimate, bound)
+    }
+
+    fn exact(&self, ci: usize) -> f64 {
         let nets = &self.net_groups[ci];
         let mut d_hpwl = 0.0;
         for &g in nets {
@@ -335,8 +425,87 @@ impl HpwlCost<'_> for GroupedNets {
     }
 
     fn accept(&mut self, ci: usize) {
-        for &g in &self.groups[ci] {
+        for &(g, _) in &self.groups[ci] {
             self.hpwl[g as usize] = self.proposed[g as usize];
+        }
+    }
+}
+
+/// Smallest nonzero draw of `Rng::gen::<f64>()` (`2⁻⁵³`).
+const MIN_DRAW: f64 = f64::EPSILON / 2.0;
+
+/// Relative slack on the filtered `exp` thresholds (`2⁻⁴⁰`); it absorbs
+/// libm's ≤ 1-ulp error, so the filter does not assume `exp` monotone.
+const EXP_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The Metropolis rule `d <= 0.0 || u < (-d / temp).exp()`, with `u`
+/// drawn only when `d > 0.0`, on the cost change `d = exact() + d_of`.
+///
+/// `exact()` must lie in `[e - bound, e + bound]` as evaluated in `f64`;
+/// then `lo = (e - bound) + d_of` and `hi = (e + bound) + d_of` bracket
+/// `d`, because rounding is monotone. The rule is decided from the
+/// bracket where that suffices and from `exact()` otherwise, with the
+/// same outcome and the same draw either way. Returns `exact()` for an
+/// accepted move (so every accept consults it) and `None` for a
+/// rejected one.
+fn metropolis(
+    e: f64,
+    bound: f64,
+    d_of: f64,
+    temp: f64,
+    draw: impl FnOnce() -> f64,
+    exact: impl FnOnce() -> f64,
+) -> Option<f64> {
+    let lo = (e - bound) + d_of;
+    let hi = (e + bound) + d_of;
+    if hi < 0.0 {
+        return Some(exact());
+    }
+    if lo > 0.0 {
+        // `d >= lo > 0`, so the plain rule draws, and `-d / temp` is at
+        // most `-lo / temp` and at least `-hi / temp`.
+        let u = draw();
+        // `u = 0` runs the chain, so no filtered outcome depends on `exp`
+        // near underflow.
+        if u >= MIN_DRAW {
+            let x_lo = -lo / temp;
+            // Below -40, `exp` is under 2⁻⁵³: no nonzero draw accepts.
+            if x_lo < -40.0 || u >= x_lo.exp() * (1.0 + EXP_SLACK) {
+                return None;
+            }
+            if u < (-hi / temp).exp() * (1.0 - EXP_SLACK) {
+                return Some(exact());
+            }
+        }
+        let d_hpwl = exact();
+        return (u < (-(d_hpwl + d_of) / temp).exp()).then_some(d_hpwl);
+    }
+    let d_hpwl = exact();
+    let d_cost = d_hpwl + d_of;
+    (d_cost <= 0.0 || draw() < (-d_cost / temp).exp()).then_some(d_hpwl)
+}
+
+/// What one movable cluster costs in one region: its demand, the edge
+/// of its square footprint, and the range of centres that keep the
+/// footprint inside the region.
+struct Fit {
+    demand: f64,
+    side: f64,
+    x: (f64, f64),
+    y: (f64, f64),
+}
+
+impl Fit {
+    fn new(cluster: &Cluster, region: &Region) -> Self {
+        let side = footprint_side(cluster, region);
+        let inner = region.rect.shrunk(Microns::new(side / 2.0));
+        let lo_x = inner.x0.value();
+        let lo_y = inner.y0.value();
+        Self {
+            demand: demand_geo(cluster, region),
+            side,
+            x: (lo_x, inner.x1.value().max(lo_x)),
+            y: (lo_y, inner.y1.value().max(lo_y)),
         }
     }
 }
@@ -459,17 +628,27 @@ fn anneal<'a, C: HpwlCost<'a>>(
     let (mut cost, mut hpwl_total) = C::build(clustering, &pos);
     let initial_hpwl = hpwl_total;
 
+    // Per movable cluster and region, what the moves read; per movable
+    // cluster, the bin block it currently fills.
+    let nregions = floorplan.regions.len();
+    let fits: Vec<Fit> = movable
+        .iter()
+        .flat_map(|&ci| {
+            let c = &clustering.clusters[ci];
+            floorplan.regions.iter().map(move |r| Fit::new(c, r))
+        })
+        .collect();
     let mut bins = Bins::new(floorplan, config.bin_size_um);
-    for &ci in &movable {
-        let c = &clustering.clusters[ci];
-        let region = &floorplan.regions[region_of[ci]];
-        bins.apply(
-            pos[ci],
-            footprint_side(c, region),
-            demand_geo(c, region),
-            1.0,
-        );
-    }
+    let mut blocks: Vec<BinBlock> = movable
+        .iter()
+        .enumerate()
+        .map(|(k, &ci)| {
+            let fit = &fits[k * nregions + region_of[ci]];
+            let block = bins.block(pos[ci], fit.side, fit.demand);
+            bins.apply(&block, 1.0);
+            block
+        })
+        .collect();
 
     // --- Simulated annealing ----------------------------------------------
     let mut span = SpanNode::new("place");
@@ -484,48 +663,50 @@ fn anneal<'a, C: HpwlCost<'a>>(
             let mut accepted = 0u64;
             for _ in 0..config.moves_per_cluster * movable.len() {
                 moves += 1;
-                let ci = movable[rng.gen_range(0..movable.len())];
-                let c = &clustering.clusters[ci];
-                let ri_new = rng.gen_range(0..floorplan.regions.len());
-                let region_new = &floorplan.regions[ri_new];
+                let k = rng.gen_range(0..movable.len());
+                let ci = movable[k];
+                let ri_new = rng.gen_range(0..nregions);
                 let ri_old = region_of[ci];
-                let region_old = &floorplan.regions[ri_old];
-                let d_new = demand_geo(c, region_new);
-                let d_old = demand_geo(c, region_old);
-                if ri_new != ri_old && region_used[ri_new] + d_new > region_cap[ri_new] {
+                let fit_new = &fits[k * nregions + ri_new];
+                if ri_new != ri_old && region_used[ri_new] + fit_new.demand > region_cap[ri_new] {
                     continue;
                 }
-                let side_new = footprint_side(c, region_new);
-                let side_old = footprint_side(c, region_old);
-                let margin = side_new / 2.0;
-                let inner = region_new.rect.shrunk(Microns::new(margin));
-                let lo_x = inner.x0.value();
-                let hi_x = inner.x1.value().max(lo_x);
-                let lo_y = inner.y0.value();
-                let hi_y = inner.y1.value().max(lo_y);
-                let new_p = Point::new(rng.gen_range(lo_x..=hi_x), rng.gen_range(lo_y..=hi_y));
+                let new_p = Point::new(
+                    rng.gen_range(fit_new.x.0..=fit_new.x.1),
+                    rng.gen_range(fit_new.y.0..=fit_new.y.1),
+                );
                 let old_p = pos[ci];
 
-                let d_hpwl = cost.propose(&mut pos, ci, new_p);
-                // Delta overflow.
-                let d_of_rm = bins.apply(old_p, side_old, d_old, -1.0);
-                let d_of_add = bins.apply(new_p, side_new, d_new, 1.0);
-                let d_cost = d_hpwl + config.overflow_weight * (d_of_rm + d_of_add);
+                let (e_hpwl, bound) = cost.propose(&mut pos, ci, new_p);
+                let old_block = blocks[k];
+                let new_block = bins.block(new_p, fit_new.side, fit_new.demand);
+                let d_of_rm = bins.apply(&old_block, -1.0);
+                let d_of_add = bins.apply(&new_block, 1.0);
+                let d_of = config.overflow_weight * (d_of_rm + d_of_add);
 
-                let accept = d_cost <= 0.0 || rng.gen::<f64>() < (-d_cost / temp).exp();
-                if accept {
+                let decision = metropolis(
+                    e_hpwl,
+                    bound,
+                    d_of,
+                    temp,
+                    || rng.gen::<f64>(),
+                    || cost.exact(ci),
+                );
+                if let Some(d_hpwl) = decision {
                     accepted += 1;
                     cost.accept(ci);
                     hpwl_total += d_hpwl;
+                    blocks[k] = new_block;
                     if ri_new != ri_old {
-                        region_used[ri_old] -= d_old;
-                        region_used[ri_new] += d_new;
+                        region_used[ri_old] -= fits[k * nregions + ri_old].demand;
+                        region_used[ri_new] += fit_new.demand;
                         region_of[ci] = ri_new;
                     }
                 } else {
-                    // Roll back.
-                    bins.apply(new_p, side_new, d_new, -1.0);
-                    bins.apply(old_p, side_old, d_old, 1.0);
+                    // Roll back by replaying the inverse additions: restoring
+                    // a snapshot would drop the rounding they leave in `used`.
+                    bins.replay(&new_block, -1.0);
+                    bins.replay(&old_block, 1.0);
                     pos[ci] = old_p;
                 }
             }
@@ -641,11 +822,14 @@ mod tests {
     }
 
     /// The per-net cost model the grouped one replaced: every net's
-    /// bounding box recomputed on every move. The reference the
-    /// production annealer must match bit for bit.
+    /// bounding box recomputed on every move. Its estimate is the exact
+    /// change with an infinite bound, so every decision runs the plain
+    /// Metropolis rule on the exact cost. The reference the production
+    /// annealer must match bit for bit.
     struct PerNet<'a> {
         clustering: &'a Clustering,
         cluster_nets: Vec<Vec<u32>>,
+        last: f64,
     }
 
     impl<'a> HpwlCost<'a> for PerNet<'a> {
@@ -665,12 +849,13 @@ mod tests {
                 Self {
                     clustering,
                     cluster_nets,
+                    last: 0.0,
                 },
                 total,
             )
         }
 
-        fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> f64 {
+        fn propose(&mut self, pos: &mut [Point], ci: usize, to: Point) -> (f64, f64) {
             let nets = &self.clustering.nets;
             let mut d_hpwl = 0.0;
             for &ni in &self.cluster_nets[ci] {
@@ -680,7 +865,12 @@ mod tests {
             for &ni in &self.cluster_nets[ci] {
                 d_hpwl += box_hpwl(&nets[ni as usize].clusters, pos);
             }
-            d_hpwl
+            self.last = d_hpwl;
+            (d_hpwl, f64::INFINITY)
+        }
+
+        fn exact(&self, _ci: usize) -> f64 {
+            self.last
         }
 
         fn accept(&mut self, _ci: usize) {}
@@ -773,6 +963,117 @@ mod tests {
             let case = format!("{name} seed={seed} quick={quick} bin={bin_size_um}");
             proptest::prop_assert_eq!(placement_bits(&got), placement_bits(&want), "{}", case);
             proptest::prop_assert_eq!(got_span, want_span, "{}", case);
+        }
+    }
+
+    /// `x` moved `steps` ulps up (or down, for negative `steps`).
+    fn ulps(mut x: f64, steps: i64) -> f64 {
+        for _ in 0..steps.unsigned_abs() {
+            x = if steps > 0 {
+                x.next_up()
+            } else {
+                x.next_down()
+            };
+        }
+        x
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        /// The filtered rule against the plain one on the exact cost, with
+        /// the exact HPWL change anywhere in the estimate's bracket: costs
+        /// and draws within ulps of 0 and of the `exp` threshold, `u = 0`,
+        /// zero, tiny and huge bounds, temperatures from 1e-3 to 1e4.
+        #[test]
+        fn filtered_metropolis_decides_as_the_plain_rule(
+            temp_exp in -3.0f64..4.0,
+            d_of_kind in 0usize..4,
+            d_of_raw in -1.0f64..1.0,
+            cost_kind in 0usize..3,
+            cost_raw in -1.0f64..1.0,
+            cost_exp in -6.0f64..7.0,
+            nudge in -4i64..5,
+            u_kind in 0usize..3,
+            u_raw in 0.0f64..1.0,
+            bound_kind in 0usize..6,
+            bound_raw in 0.0f64..1.0,
+            t in -1.0f64..1.0,
+        ) {
+            let temp = 10f64.powf(temp_exp);
+            let d_of = d_of_raw * [0.0, 1e-3, 1e3, 1e6][d_of_kind];
+            // The exact HPWL change: a cost within ulps of 0, within ulps
+            // of the threshold the random draw meets, or anywhere.
+            let d = match cost_kind {
+                0 => ulps(-d_of, nudge),
+                1 => ulps(-temp * u_raw.max(MIN_DRAW).ln() - d_of, nudge),
+                _ => cost_raw * 10f64.powf(cost_exp),
+            };
+            let scale = d.abs().max(1.0);
+            let bound = match bound_kind {
+                0 => 0.0,
+                1 => f64::MIN_POSITIVE,
+                2 => scale * f64::EPSILON * (1.0 + 8.0 * bound_raw),
+                3 => scale * 1e-9 * bound_raw,
+                4 => 1e300 * (1.0 + bound_raw),
+                _ => f64::INFINITY,
+            };
+            let e = if bound.is_finite() { d + bound * t } else { d };
+            let d = if bound.is_finite() { d.clamp(e - bound, e + bound) } else { d };
+            let d_cost = d + d_of;
+            let threshold = (-d_cost / temp).exp();
+            let u = match u_kind {
+                0 => 0.0,
+                1 => u_raw,
+                _ => ulps(threshold.min(1.0), nudge).clamp(0.0, ulps(1.0, -1)),
+            };
+
+            let (want, want_draw) = if d_cost <= 0.0 { (true, false) } else { (u < threshold, true) };
+            let (mut drew, mut consulted) = (false, false);
+            let got = metropolis(e, bound, d_of, temp, || { drew = true; u }, || { consulted = true; d });
+            let case = format!("e={e:e} bound={bound:e} d={d:e} d_of={d_of:e} temp={temp:e} u={u:e}");
+            proptest::prop_assert_eq!(got.is_some(), want, "accept: {}", case);
+            proptest::prop_assert_eq!(drew, want_draw, "draw: {}", case);
+            if let Some(v) = got {
+                proptest::prop_assert!(consulted && v.to_bits() == d.to_bits(), "exact: {}", case);
+            }
+        }
+    }
+
+    /// The grouped estimate's bound holds the exact chain on random moves
+    /// of every test design, and is a tiny fraction of the HPWL it sums.
+    #[test]
+    fn grouped_bound_brackets_the_exact_chain() {
+        for (name, cl, _) in designs() {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut pos: Vec<Point> = (0..cl.clusters.len())
+                .map(|_| Point::new(rng.gen_range(0.0..5e3), rng.gen_range(0.0..5e3)))
+                .collect();
+            let (mut cost, _) = GroupedNets::build(cl, &pos);
+            for _ in 0..5_000 {
+                let ci = rng.gen_range(0..cl.clusters.len());
+                let old = pos[ci];
+                let to = Point::new(rng.gen_range(0.0..5e3), rng.gen_range(0.0..5e3));
+                let (e, bound) = cost.propose(&mut pos, ci, to);
+                let exact = cost.exact(ci);
+                assert!(
+                    exact >= e - bound && exact <= e + bound,
+                    "{name} cluster {ci}: {exact:e} outside {e:e} ± {bound:e}"
+                );
+                let magnitude: f64 = cost.net_groups[ci]
+                    .iter()
+                    .map(|&g| cost.hpwl[g as usize] + cost.proposed[g as usize])
+                    .sum();
+                assert!(
+                    bound <= 1e-10 * magnitude + f64::MIN_POSITIVE,
+                    "{name}: {bound:e}"
+                );
+                if rng.gen_bool(0.5) {
+                    cost.accept(ci);
+                } else {
+                    pos[ci] = old;
+                }
+            }
         }
     }
 

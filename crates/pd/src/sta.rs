@@ -158,8 +158,8 @@ pub fn analyze_timing(
             }
         }
     };
-    for ni in 0..nnets {
-        if arrival[ni].is_some() {
+    for (ni, a) in arrival.iter().enumerate() {
+        if a.is_some() {
             dec_for_net(ni, &mut remaining_inputs, &mut ready);
         }
     }
@@ -196,7 +196,7 @@ pub fn analyze_timing(
             };
             let d = lib_cell.delay(load).value();
             let a = input_arrival + d + wire_delay(ni);
-            if arrival[ni].map_or(true, |prev| a > prev) {
+            if arrival[ni].is_none_or(|prev| a > prev) {
                 arrival[ni] = Some(a);
                 pred[ni] = Some(ci as u32);
             }

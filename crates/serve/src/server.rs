@@ -548,7 +548,7 @@ fn cases_listing() -> Value {
         "cases".to_owned(),
         Value::Array(
             registry::registry()
-                .into_iter()
+                .iter()
                 .map(|case| {
                     Value::Object(vec![
                         ("name".to_owned(), Value::Str(case.name().to_owned())),

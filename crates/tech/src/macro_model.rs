@@ -81,7 +81,7 @@ impl RramMacro {
                 expected: "> 0",
             });
         }
-        if capacity_bits % banks as u64 != 0 {
+        if !capacity_bits.is_multiple_of(banks as u64) {
             return Err(TechError::InvalidParameter {
                 parameter: "capacity_bits",
                 value: capacity_bits as f64,

@@ -4,17 +4,18 @@
 //! `place` span's final HPWL counter, the `clustering` span's cluster and
 //! net counts, and the routed wirelength, critical path, total power,
 //! cell area, signal ILVs, hottest-CS power and peak power density of the
-//! report, for the 2D baseline and the iso-footprint M3D(2) flow at quick
-//! and at default placer effort. Any change to the annealer, the cell
-//! library lookup or the downstream phases that moves a single bit of
-//! these results fails here.
+//! report, and the placement's density overflow, for the 2D baseline and
+//! the iso-footprint M3D(2) flow at quick and at default placer effort.
+//! Any change to the annealer, the cell library lookup or the downstream
+//! phases that moves a single bit of these results fails here.
 //!
-//! Also pins the bytes generated names reach: the Verilog export and the
-//! content key of the small-CS M3D(4) netlist.
+//! Also pins the paper-size 2D placement (every placement `f64`, its
+//! regions and its `place` span), and the bytes generated names reach:
+//! the Verilog export and the content key of the small-CS M3D(4) netlist.
 
 use m3d::netlist::{accelerator_soc, to_verilog, CsConfig, Netlist, PeConfig, SocConfig};
-use m3d::pd::{FlowConfig, Rtl2GdsFlow};
-use m3d::tech::{StableHash, StableHasher};
+use m3d::pd::{place_traced, Clustering, Floorplan, FlowConfig, PlacerConfig, Rtl2GdsFlow};
+use m3d::tech::{Pdk, SpanNode, StableHash, StableHasher};
 
 fn small_cs() -> CsConfig {
     CsConfig {
@@ -28,11 +29,11 @@ fn small_cs() -> CsConfig {
 
 /// `[inter_hpwl, final_hpwl_um, wirelength_m, critical_path_ns,
 /// total_power_mw, cell_area_mm2, signal_ilvs, hottest_cs_power_mw,
-/// peak_density_mw_per_mm2, clusters, cluster_nets]`; `final_hpwl_um`,
-/// `clusters` and `cluster_nets` are integer span counters and
-/// `signal_ilvs` is an integer report field, the rest are `f64` bit
-/// patterns.
-type Bits = [u64; 11];
+/// peak_density_mw_per_mm2, clusters, cluster_nets, overflow]`;
+/// `final_hpwl_um`, `clusters` and `cluster_nets` are integer span
+/// counters and `signal_ilvs` is an integer report field, the rest are
+/// `f64` bit patterns.
+type Bits = [u64; 12];
 
 fn measure(cfg: FlowConfig) -> (Bits, m3d::pd::Rect) {
     let (report, artifacts) = Rtl2GdsFlow::new(cfg).run().unwrap();
@@ -50,6 +51,7 @@ fn measure(cfg: FlowConfig) -> (Bits, m3d::pd::Rect) {
         report.peak_density_mw_per_mm2.to_bits(),
         clustering.counter_value("clusters").expect("clusters"),
         clustering.counter_value("nets").expect("nets"),
+        artifacts.seed.placement.overflow.value().to_bits(),
     ];
     (bits, report.die)
 }
@@ -78,6 +80,7 @@ fn quick_effort_flow_pair_is_bit_identical() {
             4604171918002208823,
             43,
             2108,
+            0,
         ],
         [
             4707216031813281706,
@@ -91,6 +94,7 @@ fn quick_effort_flow_pair_is_bit_identical() {
             4609146716581170495,
             82,
             3957,
+            4672775555842196068,
         ],
     );
 }
@@ -111,6 +115,7 @@ fn default_effort_flow_pair_is_bit_identical() {
             4604130054177434678,
             43,
             2108,
+            0,
         ],
         [
             4705537826959708212,
@@ -124,7 +129,71 @@ fn default_effort_flow_pair_is_bit_identical() {
             4608253366052575519,
             82,
             3957,
+            4668022466704847576,
         ],
+    );
+}
+
+/// Absorbs a span's name, counters and children, depth first.
+fn hash_span(h: &mut StableHasher, span: &SpanNode) {
+    h.write_str(&span.name);
+    for (name, value) in &span.counters {
+        h.write_str(name);
+        h.write_u64(*value);
+    }
+    h.write_u64(span.children.len() as u64);
+    for child in &span.children {
+        hash_span(h, child);
+    }
+}
+
+/// The paper-size 2D design (default CS, the die `fig2` plans) placed at
+/// default effort: the final HPWL and density overflow by bits, and an
+/// FNV-1a digest of every placement `f64`, its regions and its `place`
+/// span.
+#[test]
+fn paper_size_2d_placement_is_bit_identical() {
+    let cfg = SocConfig::baseline_2d();
+    let pdk = Pdk::baseline_2d_130nm();
+    let mut nl = Netlist::new("soc_2d");
+    accelerator_soc(&mut nl, &cfg).unwrap();
+    let fp = Floorplan::plan(&pdk, &cfg, &nl, None).unwrap();
+    let cl = Clustering::build(&nl, &pdk).unwrap();
+    let (p, span) = place_traced(&cl, &fp, &PlacerConfig::default()).unwrap();
+
+    let mut h = StableHasher::new();
+    let points = p.cluster_pos.iter().chain(&p.cell_pos).chain(&p.macro_pos);
+    for pt in points {
+        h.write_u64(pt.x.value().to_bits());
+        h.write_u64(pt.y.value().to_bits());
+    }
+    for v in [
+        p.inter_hpwl.value(),
+        p.intra_wl.value(),
+        p.initial_hpwl.value(),
+        p.overflow.value(),
+    ] {
+        h.write_u64(v.to_bits());
+    }
+    for &r in &p.cluster_region {
+        h.write_u64(r as u64);
+    }
+    hash_span(&mut h, &span);
+
+    assert_eq!(
+        format!("{:016x}", p.inter_hpwl.value().to_bits()),
+        "415b094ff0bd240f",
+        "inter_hpwl moved"
+    );
+    assert_eq!(
+        format!("{:016x}", p.overflow.value().to_bits()),
+        "4136d03819976940",
+        "overflow moved"
+    );
+    assert_eq!(
+        format!("{:016x}", h.finish()),
+        "636398e303fa2454",
+        "placement or span moved"
     );
 }
 

@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn rram_macro_bandwidth_scales_with_banks(banks in 1u32..32) {
         let capacity = 64u64 * 1024 * 1024 * 8;
-        if capacity % u64::from(banks) == 0 {
+        if capacity.is_multiple_of(u64::from(banks)) {
             let m = RramMacro::new(capacity, banks, 256, SelectorTech::SiFet).unwrap();
             prop_assert_eq!(m.total_bandwidth_bits_per_cycle(), u64::from(banks) * 256);
         }
