@@ -1,20 +1,18 @@
-//! Criterion bench: the end-to-end RTL-to-GDS flow (scaled design),
-//! warm-started vs cold sign-off at default placer effort, row
-//! legalisation in isolation, and the ZigZag mapper kernel.
+//! Criterion bench: the end-to-end RTL-to-GDS flow (scaled design), a
+//! cold activity sweep vs the same sweep through a `FlowCache` at
+//! default placer effort, row legalisation in isolation, and the ZigZag
+//! mapper kernel.
 //!
-//! That a warm-started run reproduces the cold one byte for byte is a
-//! test, `m3d_pd::flow::tests::warm_seeded_run_is_byte_identical_to_cold`;
+//! That a cached sweep point reproduces the cold run byte for byte is a
+//! test, `m3d_core::engine::cache::tests::warm_runs_match_cold_runs_exactly`;
 //! this bench only times the two.
-
-use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use m3d_arch::{map_workload, models, table2_architectures, MapperChip};
+use m3d_core::engine::{FetchOpts, FlowCache};
 use m3d_netlist::{accelerator_soc, CsConfig, Netlist, PeConfig, SocConfig};
-use m3d_pd::{
-    legalize, place, Clustering, Floorplan, FlowConfig, PlacementSeed, PlacerConfig, Rtl2GdsFlow,
-};
+use m3d_pd::{legalize, place, Clustering, Floorplan, FlowConfig, PlacerConfig, Rtl2GdsFlow};
 use m3d_tech::Pdk;
 
 fn small_cs() -> CsConfig {
@@ -47,29 +45,20 @@ fn sweep_cold() {
     }
 }
 
-/// One full sweep, warm: the first point anneals, later points reuse
-/// its placement seed and re-evaluate sign-off only.
-fn sweep_warm(seed: &Arc<PlacementSeed>) {
+/// One full sweep through a fresh flow cache: the first point runs
+/// cold, and points 2–6 share its opt key, so each runs power and the
+/// report alone on the first point's post-optimisation state.
+fn sweep_warm() {
+    let cache = FlowCache::new();
     for a in sweep_grid() {
-        black_box(
-            Rtl2GdsFlow::new(sweep_cfg(a))
-                .run_seeded(Some(Arc::clone(seed)))
-                .unwrap(),
-        );
+        black_box(cache.fetch(&sweep_cfg(a), FetchOpts::report()).unwrap());
     }
+    assert_eq!(cache.warm_count(), 5, "the grid shares one opt key");
 }
 
 fn bench_warmstart(c: &mut Criterion) {
-    let grid = sweep_grid();
-    let (_, cold) = Rtl2GdsFlow::new(sweep_cfg(grid[0])).run().unwrap();
-    let seed = cold.seed;
-    let (_, probe) = Rtl2GdsFlow::new(sweep_cfg(grid[grid.len() - 1]))
-        .run_seeded(Some(Arc::clone(&seed)))
-        .unwrap();
-    assert!(probe.warm, "the grid shares one placement key");
-
     c.bench_function("flow_sweep_cold_6pt", |b| b.iter(sweep_cold));
-    c.bench_function("flow_sweep_warm_6pt", |b| b.iter(|| sweep_warm(&seed)));
+    c.bench_function("flow_sweep_warm_6pt", |b| b.iter(sweep_warm));
 }
 
 fn bench_flow(c: &mut Criterion) {

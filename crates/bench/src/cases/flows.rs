@@ -128,7 +128,12 @@ impl Case for AblationCongestionCase {
         let f3d = ctx.stage(Stage::PdFlow, "m3d", |sctx| {
             staged_fetch(ctx.flows, sctx, &m3d_cfg, FetchOpts::artifacts())
         })?;
-        let a = &f3d.artifacts.as_ref().expect("artifact-level fetch").1;
+        let a = &f3d
+            .artifacts
+            .as_ref()
+            .expect("artifact-level fetch")
+            .1
+            .signoff;
         let pdk = &m3d_cfg.pdk;
         let c = ctx.stage(Stage::PdFlow, "congestion", |_| {
             analyze_congestion(

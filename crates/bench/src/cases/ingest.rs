@@ -9,8 +9,9 @@
 //! `FlowCache`/`M3D_CACHE_DIR` like any generated configuration.
 //!
 //! Validation parses and elaborates the source in full, so the service
-//! answers malformed designs with a `bad-request` carrying `line N,
-//! column M` before the request ever occupies a queue slot or worker.
+//! answers malformed or oversized designs with a `bad-request` carrying
+//! `line N, column M` before the request ever occupies a queue slot or
+//! worker.
 
 use std::sync::Arc;
 
@@ -158,9 +159,11 @@ impl Case for IngestCase {
     }
 
     fn validate(&self, quick: bool, params: &Value) -> Result<(), CaseError> {
-        // Full parse + elaboration: bounded by MAX_SOURCE_BYTES, and it
-        // means a malformed design is refused before enqueue with the
-        // exact `line N, column M` diagnostic the run would hit.
+        // Full parse + elaboration, so a malformed design is refused
+        // before enqueue with the exact `line N, column M` diagnostic the
+        // run would hit. MAX_SOURCE_BYTES bounds the parse; the flattened
+        // design is bounded by m3d_ingest::MAX_FLAT_OBJECTS, checked
+        // before anything is built.
         IngestParams::parse(quick, params)?.flatten().map(drop)
     }
 
@@ -281,6 +284,47 @@ mod tests {
         assert_eq!(e.code, m3d_core::ErrorCode::BadRequest);
         assert!(e.message.contains("lint"), "{e}");
         assert!(e.message.contains("undriven"), "{e}");
+    }
+
+    #[test]
+    fn hierarchies_that_flatten_past_the_budget_are_bad_requests() {
+        // Six levels of ten instances over a two-inverter chain: 2 × 10^6
+        // inverters from ~7 KB of source.
+        let ports = "(interface (port a (direction INPUT)) (port y (direction OUTPUT)))";
+        let mut src = format!(
+            "(edif nested (library L (cell c0 (view v {ports} (contents \
+             (instance u0 (cellRef INV_X1)) (instance u1 (cellRef INV_X1)) \
+             (net n0 (joined (portRef a) (portRef A (instanceRef u0)))) \
+             (net n1 (joined (portRef Y (instanceRef u0)) (portRef A (instanceRef u1)))) \
+             (net n2 (joined (portRef Y (instanceRef u1)) (portRef y))))))"
+        );
+        for k in 1..=6 {
+            src += &format!(" (cell c{k} (view v {ports} (contents");
+            for i in 0..10 {
+                src += &format!(" (instance u{i} (cellRef c{}))", k - 1);
+            }
+            src += " (net n0 (joined (portRef a) (portRef a (instanceRef u0))))";
+            for i in 1..10 {
+                src += &format!(
+                    " (net n{i} (joined (portRef y (instanceRef u{})) (portRef a (instanceRef u{i}))))",
+                    i - 1
+                );
+            }
+            src += " (net n10 (joined (portRef y (instanceRef u9)) (portRef y))))))";
+        }
+        src += ") (design nested (cellRef c6)))";
+        let start = std::time::Instant::now();
+        let e = IngestCase
+            .validate(true, &params(vec![("source", Value::Str(src))]))
+            .unwrap_err();
+        let took = start.elapsed();
+        assert_eq!(e.code, m3d_core::ErrorCode::BadRequest);
+        assert!(e.message.contains("flattens to more than"), "{e}");
+        assert!(e.message.starts_with("line "), "positioned: {e}");
+        assert!(
+            took < std::time::Duration::from_millis(100),
+            "refused after {took:?}"
+        );
     }
 
     #[test]

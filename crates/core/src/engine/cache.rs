@@ -29,14 +29,24 @@
 //! written. Corrupt or unreadable files are treated as misses and
 //! overwritten.
 //!
-//! When a configuration misses every exact tier, the flow runs
-//! **warm** if a seed exists for its placement key: the first seed this
-//! process computed under that key, else the disk store's seed file.
-//! Equal placement keys provably reproduce the same pre-optimisation
-//! placement, so the seeded run replays the seed's placement and spans
-//! verbatim and re-runs only the post-placement phases — byte-identical
-//! `--json`/`--trace-json` output, a fraction of the wall-clock. Invalid
-//! or corrupt seeds fall back to a cold run, never an error.
+//! When a configuration misses every exact tier, the flow resumes
+//! **warm** from the furthest stage result another configuration left
+//! (see [`m3d_pd::Rtl2GdsFlow::resume`]):
+//!
+//! 1. the opt memo: the post-optimisation [`SignoffState`] this process
+//!    computed under the same [`FlowConfig::opt_key`] — a configuration
+//!    that differs only in `activity` then runs power and the report
+//!    alone, on a state it shares by `Arc`;
+//! 2. the seed: the first placement seed this process computed under
+//!    the same [`FlowConfig::placement_key`], else the disk store's seed
+//!    file — the flow skips placement and legalisation.
+//!
+//! Equal keys provably reproduce the same stage result, so a resumed run
+//! replays the recorded spans verbatim and re-runs only the later
+//! stages — byte-identical `--json`/`--trace-json` output, a fraction of
+//! the wall-clock. Invalid or corrupt seeds fall back to a cold run,
+//! never an error. Nothing memoises the pre-opt netlist: opt mutates it,
+//! so reusing it would cost every cold run a full netlist clone.
 
 use std::collections::HashMap;
 use std::fs;
@@ -44,7 +54,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use m3d_pd::{FlowArtifacts, FlowConfig, FlowReport, PlacementSeed, Rtl2GdsFlow};
+use m3d_pd::{
+    FlowArtifacts, FlowConfig, FlowReport, PlacementSeed, Resume, Rtl2GdsFlow, SignoffState,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::inflight::{Flight, InFlight};
@@ -170,6 +182,10 @@ pub struct FlowCache {
     /// Warm-start seeds: placement key → the first seed computed under
     /// it in this process (every seed under one key is byte-identical).
     seeds: Mutex<HashMap<u64, Arc<PlacementSeed>>>,
+    /// The opt memo: opt key → the first post-optimisation state
+    /// computed under it, shared with that flow's artifacts (every state
+    /// under one key is byte-identical).
+    signoffs: Mutex<HashMap<u64, Arc<SignoffState>>>,
     inflight: InFlight<FlowFetch>,
     store: Option<DiskStore>,
     hits: AtomicU64,
@@ -330,11 +346,12 @@ impl FlowCache {
         })
     }
 
-    /// Runs the flow (warm when a usable seed exists) and memoises it:
-    /// per-key entry, per-placement-key seed, disk files.
+    /// Runs the flow (warm when a sign-off state or seed exists) and
+    /// memoises it: per-key entry, per-opt-key state, per-placement-key
+    /// seed, disk files.
     fn compute(&self, cfg: &FlowConfig, key: u64) -> CoreResult<FlowFetch> {
-        let seed = self.find_seed(cfg);
-        let computed = Arc::new(Rtl2GdsFlow::new(cfg.clone()).run_seeded(seed)?);
+        let from = self.resume_point(cfg);
+        let computed = Arc::new(Rtl2GdsFlow::new(cfg.clone()).resume(from)?);
         let warm = computed.1.warm;
         // A warm run still *ran* the flow, so it is a miss for the
         // serialised CacheStats — `--json` stays byte-identical whether
@@ -356,11 +373,17 @@ impl FlowCache {
             let flow = Arc::clone(entry.flow.get_or_insert(computed));
             (Arc::clone(&entry.report), flow)
         };
+        let signoff = &flow.1.signoff;
+        self.signoffs
+            .lock()
+            .expect(POISONED)
+            .entry(signoff.opt_key)
+            .or_insert_with(|| Arc::clone(signoff));
         self.seeds
             .lock()
             .expect(POISONED)
-            .entry(flow.1.seed.placement_key)
-            .or_insert_with(|| Arc::clone(&flow.1.seed));
+            .entry(signoff.seed.placement_key)
+            .or_insert_with(|| Arc::clone(&signoff.seed));
         Ok(FlowFetch {
             report,
             artifacts: Some(flow),
@@ -371,15 +394,21 @@ impl FlowCache {
         })
     }
 
-    /// The warm-start seed for `cfg`'s placement key, or `None`: this
-    /// process's first seed under that key, else the disk store's seed
-    /// file.
-    fn find_seed(&self, cfg: &FlowConfig) -> Option<Arc<PlacementSeed>> {
+    /// The furthest stage `cfg` can resume from: this process's
+    /// sign-off state under its opt key, else its first seed under the
+    /// placement key, else the disk store's seed file, else cold.
+    fn resume_point(&self, cfg: &FlowConfig) -> Resume {
+        if let Some(state) = self.signoffs.lock().expect(POISONED).get(&cfg.opt_key()) {
+            return Resume::SignedOff(Arc::clone(state));
+        }
         let placement_key = cfg.placement_key();
         if let Some(seed) = self.seeds.lock().expect(POISONED).get(&placement_key) {
-            return Some(Arc::clone(seed));
+            return Resume::Placed(Arc::clone(seed));
         }
-        Some(Arc::new(self.store.as_ref()?.get_seed(placement_key)?))
+        match self.store.as_ref().and_then(|s| s.get_seed(placement_key)) {
+            Some(seed) => Resume::Placed(Arc::new(seed)),
+            None => Resume::Cold,
+        }
     }
 
     /// Writes one computed flow's report, and a cold run's seed, through
@@ -395,7 +424,7 @@ impl FlowCache {
             report: computed.0.clone(),
         });
         if !computed.1.warm {
-            store.put_seed(&computed.1.seed);
+            store.put_seed(&computed.1.signoff.seed);
         }
     }
 
@@ -553,32 +582,96 @@ mod tests {
     }
 
     #[test]
-    fn warm_runs_match_cold_runs_exactly() {
+    fn activity_only_fetch_shares_the_post_opt_state() {
+        let cache = FlowCache::new();
         let a = quick_cfg();
         let mut b = quick_cfg();
         b.activity += 0.05;
-
-        // Cold reference: each config computed in isolation.
-        let cold = FlowCache::new();
-        let cold_b = cold.fetch(&b, FetchOpts::artifacts()).unwrap();
-        assert!(!cold_b.warm);
-
-        // Warm path: `a` seeds `b`.
-        let warm = FlowCache::new();
-        warm.fetch(&a, FetchOpts::report()).unwrap();
-        let warm_b = warm.fetch(&b, FetchOpts::artifacts()).unwrap();
-        assert!(warm_b.warm);
-        assert_eq!(*warm_b.report, *cold_b.report, "byte-identical report");
-        assert_eq!(
-            warm.sub_span(&b).unwrap(),
-            cold.sub_span(&b).unwrap(),
-            "byte-identical sub-span tree"
+        let cold = cache.fetch(&a, FetchOpts::artifacts()).unwrap();
+        let warm = cache.fetch(&b, FetchOpts::artifacts()).unwrap();
+        assert!(!cold.warm && warm.warm);
+        assert_eq!(warm.provenance(), Provenance::Warm);
+        let (ca, wa) = (
+            &cold.artifacts.as_ref().unwrap().1,
+            &warm.artifacts.as_ref().unwrap().1,
         );
-        let wa = &warm_b.artifacts.as_ref().unwrap().1;
-        let ca = &cold_b.artifacts.as_ref().unwrap().1;
-        assert_eq!(wa.placement, ca.placement);
-        assert_eq!(wa.routing, ca.routing);
-        assert_eq!(wa.seed, ca.seed);
+        assert!(Arc::ptr_eq(&ca.signoff, &wa.signoff));
+        assert!(std::ptr::eq(&ca.signoff.netlist, &wa.signoff.netlist));
+        assert!(std::ptr::eq(&ca.signoff.routing, &wa.signoff.routing));
+        assert_ne!(ca.power, wa.power, "power is signed off per activity");
+        assert_eq!(cache.warm_count(), 1);
+        assert_eq!(cache.stats().misses, 2, "a memo hit still ran power");
+    }
+
+    #[test]
+    fn an_opt_change_shares_only_the_placement_seed() {
+        let cache = FlowCache::new();
+        let base = quick_cfg();
+        let cold = cache.fetch(&base, FetchOpts::artifacts()).unwrap();
+        let cs = &cold.artifacts.as_ref().unwrap().1.signoff;
+        let changes: [fn(&mut m3d_pd::OptConfig); 4] = [
+            |o| o.max_rounds += 1,
+            |o| o.upsize_threshold_ns *= 0.5,
+            |o| o.buffer_length_um *= 0.5,
+            |o| o.detour *= 1.1,
+        ];
+        for (i, change) in changes.iter().enumerate() {
+            let mut cfg = base.clone();
+            change(&mut cfg.opt);
+            let fetch = cache.fetch(&cfg, FetchOpts::artifacts()).unwrap();
+            let s = &fetch.artifacts.as_ref().unwrap().1.signoff;
+            assert!(fetch.warm, "opt field {i}: the placement key is shared");
+            assert!(Arc::ptr_eq(&s.seed, &cs.seed), "opt field {i}");
+            assert!(
+                !Arc::ptr_eq(s, cs),
+                "opt field {i}: a new opt key reruns opt"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        /// Random (activity, opt) pairs through one cache: a fetch
+        /// resumes from the first's sign-off state when the opt knobs
+        /// agree and from its seed otherwise, and either way equals a
+        /// cold run of its own configuration bit for bit.
+        #[test]
+        fn warm_runs_match_cold_runs_exactly(
+            act_a in 1u32..=8,
+            act_b in 1u32..=8,
+            thr_a in 1u32..=4,
+            thr_b in 1u32..=4,
+            rounds_b in 1usize..=2,
+        ) {
+            let mut a = quick_cfg();
+            a.activity = f64::from(act_a) * 0.05;
+            a.opt.upsize_threshold_ns = f64::from(thr_a) * 0.1;
+            // Off a's activity grid, so every `b` is a new configuration.
+            let mut same_opt = a.clone();
+            same_opt.activity = (f64::from(act_b) + 0.5) * 0.05;
+            let mut new_opt = same_opt.clone();
+            new_opt.opt.upsize_threshold_ns = f64::from(thr_b) * 0.1 + 0.05;
+            new_opt.opt.max_rounds = rounds_b;
+
+            let warm = FlowCache::new();
+            proptest::prop_assert!(!warm.fetch(&a, FetchOpts::report()).unwrap().warm);
+            for b in [same_opt, new_opt] {
+                let wb = warm.fetch(&b, FetchOpts::artifacts()).unwrap();
+                proptest::prop_assert!(wb.warm);
+                let wa = &wb.artifacts.as_ref().unwrap().1;
+                proptest::prop_assert_eq!(wa.signoff.opt_key == a.opt_key(), b.opt == a.opt);
+                let (cr, ca) = Rtl2GdsFlow::new(b.clone()).run().unwrap();
+                proptest::prop_assert_eq!(
+                    serde_json::to_string(&*wb.report).unwrap(),
+                    serde_json::to_string(&cr).unwrap()
+                );
+                proptest::prop_assert_eq!(&warm.sub_span(&b).unwrap(), &ca.span);
+                proptest::prop_assert_eq!(&wa.signoff.placement, &ca.signoff.placement);
+                proptest::prop_assert_eq!(&wa.signoff.routing, &ca.signoff.routing);
+                proptest::prop_assert_eq!(&wa.signoff.seed, &ca.signoff.seed);
+                proptest::prop_assert_eq!(&wa.power, &ca.power);
+            }
+        }
     }
 
     #[test]
@@ -759,7 +852,7 @@ mod tests {
         let cold = FlowCache::new()
             .fetch(&cfg, FetchOpts::artifacts())
             .unwrap();
-        let good_seed = &cold.artifacts.as_ref().unwrap().1.seed;
+        let good_seed = &cold.artifacts.as_ref().unwrap().1.signoff.seed;
         // Store the seed mangled so validation fails.
         let mut seed = (**good_seed).clone();
         seed.placement.cell_pos.truncate(1);

@@ -178,7 +178,7 @@ mod tests {
             key: cfg.stable_key(),
             report,
         };
-        (envelope, (*artifacts.seed).clone())
+        (envelope, (*artifacts.signoff.seed).clone())
     }
 
     fn temp_store(tag: &str) -> (PathBuf, DiskStore) {

@@ -33,6 +33,13 @@ pub const DEFAULT_BLACKBOX_AREA: f64 = 1.0;
 /// Maximum instantiation depth (guards against recursive hierarchy).
 pub const MAX_FLATTEN_DEPTH: u32 = 32;
 
+/// Largest design elaboration flattens, counted as the objects it would
+/// create: every instance (leaf or hierarchical) and every net, summed
+/// over the flattened hierarchy. The source-size cap does not bound
+/// this: a cell instantiating the previous one ten times multiplies the
+/// design tenfold per ~1 KB of source.
+pub const MAX_FLAT_OBJECTS: u64 = 1 << 20;
+
 /// The flattening result.
 #[derive(Debug)]
 pub struct Elaborated {
@@ -52,7 +59,9 @@ pub struct Elaborated {
 ///
 /// Returns a positioned [`IngestError`] for unresolved or ambiguous
 /// references, direction violations, shorted or doubly-driven nets,
-/// and hierarchy deeper than [`MAX_FLATTEN_DEPTH`].
+/// hierarchy deeper than [`MAX_FLATTEN_DEPTH`], and designs that would
+/// flatten to more than [`MAX_FLAT_OBJECTS`] objects (refused before
+/// anything is built).
 pub fn elaborate(edif: &Edif, intern: &Interner) -> IngestResult<Elaborated> {
     let mut cells: FxHashMap<Atom, &Cell> = FxHashMap::default();
     for lib in &edif.libraries {
@@ -76,6 +85,18 @@ pub fn elaborate(edif: &Edif, intern: &Interner) -> IngestResult<Elaborated> {
             top.col,
             format!(
                 "top cell `{}` has no `(contents …)`",
+                intern.resolve(top.name)
+            ),
+        ));
+    }
+
+    let size = flat_size(top, &cells, intern, 1, &mut FxHashMap::default())?;
+    if size > MAX_FLAT_OBJECTS {
+        return Err(IngestError::new(
+            top.line,
+            top.col,
+            format!(
+                "design `{}` flattens to more than {MAX_FLAT_OBJECTS} instances and nets",
                 intern.resolve(top.name)
             ),
         ));
@@ -189,6 +210,51 @@ fn top_cell<'a>(
     }
 }
 
+/// The error for an instance of `cell` deeper than
+/// [`MAX_FLATTEN_DEPTH`].
+fn too_deep(cell: &Cell) -> IngestError {
+    IngestError::new(
+        cell.line,
+        cell.col,
+        format!("hierarchy deeper than {MAX_FLATTEN_DEPTH} levels (recursive instantiation?)"),
+    )
+}
+
+/// How many instances and nets flattening `cell` creates, saturating,
+/// with each cell counted once in `memo`. Instances resolve as
+/// [`Ctx::flatten`] resolves them, so only defined cells with contents
+/// that are neither PDK cells nor memory macros recurse. The depth cap
+/// also ends the pass on a recursive hierarchy, with the error
+/// flattening would reach.
+fn flat_size(
+    cell: &Cell,
+    cells: &FxHashMap<Atom, &Cell>,
+    intern: &Interner,
+    depth: u32,
+    memo: &mut FxHashMap<Atom, u64>,
+) -> IngestResult<u64> {
+    if let Some(&size) = memo.get(&cell.name) {
+        return Ok(size);
+    }
+    if depth > MAX_FLATTEN_DEPTH {
+        return Err(too_deep(cell));
+    }
+    let mut size = cell.view.nets.len() as u64;
+    for inst in &cell.view.instances {
+        let model = intern.resolve(inst.cell_ref);
+        let leaf = parse_cell_model(model).is_some() || macro_kind_from_model(model, 1).is_some();
+        let child = match cells.get(&inst.cell_ref) {
+            Some(child) if !leaf && child.view.has_contents => {
+                flat_size(child, cells, intern, depth + 1, memo)?
+            }
+            _ => 0,
+        };
+        size = size.saturating_add(1).saturating_add(child);
+    }
+    memo.insert(cell.name, size);
+    Ok(size)
+}
+
 fn scoped(path: &str, name: &str) -> String {
     if path.is_empty() {
         name.to_owned()
@@ -228,13 +294,7 @@ impl<'a> Ctx<'a> {
     ) -> IngestResult<()> {
         let intern = self.intern;
         if depth > MAX_FLATTEN_DEPTH {
-            return Err(IngestError::new(
-                cell.line,
-                cell.col,
-                format!(
-                    "hierarchy deeper than {MAX_FLATTEN_DEPTH} levels (recursive instantiation?)"
-                ),
-            ));
+            return Err(too_deep(cell));
         }
         self.max_depth = self.max_depth.max(depth);
         let view = &cell.view;

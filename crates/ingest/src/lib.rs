@@ -48,7 +48,7 @@ pub mod error;
 pub mod intern;
 pub mod sexpr;
 
-pub use elaborate::MAX_FLATTEN_DEPTH;
+pub use elaborate::{MAX_FLATTEN_DEPTH, MAX_FLAT_OBJECTS};
 pub use error::{IngestError, IngestResult};
 
 use m3d_netlist::Netlist;

@@ -2,7 +2,9 @@
 //! cleanly with the expected flattened shape, and malformed EDIF must
 //! fail with accurate source positions.
 
-use m3d_ingest::{ingest, Format};
+use std::time::{Duration, Instant};
+
+use m3d_ingest::{ingest, Format, MAX_FLAT_OBJECTS};
 use m3d_tech::StableHash;
 
 const ADDER4_EDIF: &str = include_str!("../../../examples/adder4.edif");
@@ -119,6 +121,61 @@ fn undriven_outputs_and_recursion_are_rejected() {
                (design d (cellRef loop)))";
     let e = ingest(src, Format::Edif).unwrap_err();
     assert!(e.message.contains("recursive"), "{e}");
+}
+
+/// An EDIF hierarchy of `levels` levels over a two-inverter chain, each
+/// level chaining ten instances of the one below: it flattens to
+/// 2 × 10^`levels` inverters from about 1 KB of source per level.
+fn nested_x10(levels: u32) -> String {
+    let ports = "(interface (port a (direction INPUT)) (port y (direction OUTPUT)))";
+    let mut src = format!(
+        "(edif nested (library L\n (cell c0 (view v {ports} (contents\n\
+         (instance u0 (cellRef INV_X1)) (instance u1 (cellRef INV_X1))\n\
+         (net n0 (joined (portRef a) (portRef A (instanceRef u0))))\n\
+         (net n1 (joined (portRef Y (instanceRef u0)) (portRef A (instanceRef u1))))\n\
+         (net n2 (joined (portRef Y (instanceRef u1)) (portRef y))))))\n"
+    );
+    for k in 1..=levels {
+        src += &format!(" (cell c{k} (view v {ports} (contents\n");
+        for i in 0..10 {
+            src += &format!(" (instance u{i} (cellRef c{}))", k - 1);
+        }
+        src += "\n (net n0 (joined (portRef a) (portRef a (instanceRef u0))))\n";
+        for i in 1..10 {
+            src += &format!(
+                " (net n{i} (joined (portRef y (instanceRef u{})) (portRef a (instanceRef u{i}))))\n",
+                i - 1
+            );
+        }
+        src += " (net n10 (joined (portRef y (instanceRef u9)) (portRef y))))))\n";
+    }
+    src + &format!(") (design nested (cellRef c{levels})))")
+}
+
+#[test]
+fn nested_hierarchies_over_the_flat_budget_are_refused_before_elaboration() {
+    let small = ingest(&nested_x10(2), Format::Edif).unwrap();
+    assert_eq!(small.netlist.cell_count(), 200);
+    assert_eq!(small.flatten_depth, 3);
+    assert!(
+        small.netlist.lint().is_empty(),
+        "{:?}",
+        small.netlist.lint()
+    );
+
+    // 2 × 10^6 inverters, 2× the budget in leaves alone, from ~7 KB.
+    let src = nested_x10(6);
+    assert!(src.len() < 8_000, "{} bytes", src.len());
+    let start = Instant::now();
+    let e = ingest(&src, Format::Edif).unwrap_err();
+    let took = start.elapsed();
+    assert!(
+        e.message
+            .contains(&format!("flattens to more than {MAX_FLAT_OBJECTS}")),
+        "{e}"
+    );
+    assert!(e.line > 0 && e.col > 0, "positioned at the top cell: {e}");
+    assert!(took < Duration::from_millis(100), "refused after {took:?}");
 }
 
 #[test]

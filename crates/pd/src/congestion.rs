@@ -212,10 +212,10 @@ mod tests {
             .run()
             .unwrap();
         let c = analyze_congestion(
-            &a.netlist,
-            &a.placement,
-            &a.routing,
-            &a.floorplan,
+            &a.signoff.netlist,
+            &a.signoff.placement,
+            &a.signoff.routing,
+            &a.signoff.floorplan,
             &Rtl2GdsFlow::new(FlowConfig::baseline_2d()).config().pdk,
             1000.0,
         );
@@ -241,18 +241,18 @@ mod tests {
         .unwrap();
         let pdk = m3d_tech::Pdk::m3d_130nm();
         let c = analyze_congestion(
-            &a.netlist,
-            &a.placement,
-            &a.routing,
-            &a.floorplan,
+            &a.signoff.netlist,
+            &a.signoff.placement,
+            &a.signoff.routing,
+            &a.signoff.floorplan,
             &pdk,
             1000.0,
         );
         // Supply under the array must be lower than outside it: index the
         // tile containing the under-array region's centre vs tile (0, 0)
         // in the free bottom strip.
-        let ua = a.floorplan.under_array_region().unwrap().rect;
-        let die = a.floorplan.die;
+        let ua = a.signoff.floorplan.under_array_region().unwrap().rect;
+        let die = a.signoff.floorplan.die;
         let centre = ua.center();
         let tx = (((centre.x.value() - die.x0.value()) / c.tile_um) as usize).min(c.nx - 1);
         let ty = (((centre.y.value() - die.y0.value()) / c.tile_um) as usize).min(c.ny - 1);
@@ -270,15 +270,21 @@ mod tests {
             .unwrap();
         let pdk = m3d_tech::Pdk::baseline_2d_130nm();
         let c = analyze_congestion(
-            &a.netlist,
-            &a.placement,
-            &a.routing,
-            &a.floorplan,
+            &a.signoff.netlist,
+            &a.signoff.placement,
+            &a.signoff.routing,
+            &a.signoff.floorplan,
             &pdk,
             1000.0,
         );
         let spread: f64 = c.demand.iter().sum();
-        let routed: f64 = a.routing.nets.iter().map(|n| n.length.value()).sum();
+        let routed: f64 = a
+            .signoff
+            .routing
+            .nets
+            .iter()
+            .map(|n| n.length.value())
+            .sum();
         assert!(
             (spread - routed).abs() / routed.max(1.0) < 1e-6,
             "demand spread {spread} vs routed {routed}"

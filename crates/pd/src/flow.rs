@@ -105,22 +105,39 @@ impl FlowConfig {
     /// run reuse another configuration's placement without perturbing a
     /// single output bit.
     pub fn placement_key(&self) -> u64 {
+        let mut h = m3d_tech::StableHasher::new();
+        self.hash_placement_inputs(&mut h);
+        h.finish()
+    }
+
+    /// Content key of everything the flow consumes up to and including
+    /// clock-tree synthesis: the placement-key inputs plus `opt`. Only
+    /// `activity` is left out, so configurations with equal opt keys
+    /// share one post-optimisation [`SignoffState`] and differ only in
+    /// power.
+    pub fn opt_key(&self) -> u64 {
         use m3d_tech::StableHash as _;
         let mut h = m3d_tech::StableHasher::new();
-        self.pdk.stable_hash(&mut h);
-        self.soc.stable_hash(&mut h);
-        self.source.stable_hash(&mut h);
-        self.placer.stable_hash(&mut h);
-        self.die_override.stable_hash(&mut h);
-        self.legalize.stable_hash(&mut h);
+        self.hash_placement_inputs(&mut h);
+        self.opt.stable_hash(&mut h);
         h.finish()
+    }
+
+    fn hash_placement_inputs(&self, h: &mut m3d_tech::StableHasher) {
+        use m3d_tech::StableHash as _;
+        self.pdk.stable_hash(h);
+        self.soc.stable_hash(h);
+        self.source.stable_hash(h);
+        self.placer.stable_hash(h);
+        self.die_override.stable_hash(h);
+        self.legalize.stable_hash(h);
     }
 }
 
-/// The warm-start seed one flow run leaves for every configuration
-/// sharing its placement key: the pre-optimisation placement together
-/// with the recorded `place`/`legalize` spans and the legalisation
-/// displacement.
+/// The place + legalize stage's result, which one flow run leaves for
+/// every configuration sharing its placement key: the pre-optimisation
+/// placement together with the recorded `place`/`legalize` spans and the
+/// legalisation displacement.
 /// A seeded run replays these verbatim instead of re-annealing — valid
 /// only when [`PlacementSeed::placement_key`] matches the target
 /// configuration's [`FlowConfig::placement_key`], in which case the
@@ -229,9 +246,14 @@ impl FlowConfig {
     }
 }
 
-/// Everything the flow produced, for export and inspection.
-#[derive(Debug, Clone)]
-pub struct FlowArtifacts {
+/// The post-optimisation state every configuration sharing one
+/// [`FlowConfig::opt_key`] signs off from: the flow's products through
+/// clock-tree synthesis, which `activity` never reaches. Immutable once
+/// built, so one `Arc` serves every activity evaluated on it.
+#[derive(Debug)]
+pub struct SignoffState {
+    /// [`FlowConfig::opt_key`] of the run that produced this state.
+    pub opt_key: u64,
     /// Final netlist (including post-route buffers).
     pub netlist: Netlist,
     /// Floorplan used.
@@ -246,12 +268,25 @@ pub struct FlowArtifacts {
     pub timing: TimingReport,
     /// Estimated clock tree over the final placement.
     pub clock_tree: ClockTree,
-    /// Power sign-off.
-    pub power: PowerReport,
-    /// Warm-start seed this run leaves behind (or the one it replayed):
-    /// the pre-optimisation placement and its spans, reusable by any
-    /// configuration sharing this run's [`FlowConfig::placement_key`].
+    /// The placement seed the state was optimised from, reusable by any
+    /// configuration sharing its [`FlowConfig::placement_key`].
     pub seed: Arc<PlacementSeed>,
+    /// The recorded `flow` span through `cts`; each sign-off appends its
+    /// own `power` child to a copy.
+    pub span: SpanNode,
+    /// The report's activity-independent fields; the power fields stay 0
+    /// until a sign-off fills them in.
+    report: FlowReport,
+}
+
+/// Everything the flow produced, for export and inspection.
+#[derive(Debug, Clone)]
+pub struct FlowArtifacts {
+    /// The post-optimisation state, shared with every run of the same
+    /// [`FlowConfig::opt_key`].
+    pub signoff: Arc<SignoffState>,
+    /// Power sign-off at this run's activity.
+    pub power: PowerReport,
     /// The run's deterministic sub-span tree: a `flow` root with one
     /// child per phase (synthesis, floorplan, clustering, place,
     /// legalize, opt, cts, power), per-iteration children and integer
@@ -259,9 +294,24 @@ pub struct FlowArtifacts {
     /// crossings, critical paths). Equal configurations always yield
     /// byte-identical trees.
     pub span: SpanNode,
-    /// Whether the run warm-started from a seed (see
-    /// [`Rtl2GdsFlow::run_seeded`]).
+    /// Whether the run resumed from a seed or a sign-off state (see
+    /// [`Rtl2GdsFlow::resume`]).
     pub warm: bool,
+}
+
+/// Where [`Rtl2GdsFlow::resume`] starts: each variant skips the stages
+/// whose content key it carries.
+#[derive(Debug, Clone)]
+pub enum Resume {
+    /// Run every stage.
+    Cold,
+    /// Adopt this placement seed instead of placing and legalising,
+    /// when it validates against the configuration.
+    Placed(Arc<PlacementSeed>),
+    /// Sign off this post-optimisation state, running only power and
+    /// the report, when its opt key matches the configuration's; with
+    /// another opt key, resume from its seed instead.
+    SignedOff(Arc<SignoffState>),
 }
 
 /// Post-route comparison metrics (the Fig. 2 numbers).
@@ -360,28 +410,44 @@ impl Rtl2GdsFlow {
     /// Propagates netlist generation, floorplan fit, placement, routing
     /// and timing errors.
     pub fn run(&self) -> PdResult<(FlowReport, FlowArtifacts)> {
-        self.run_seeded(None)
+        self.resume(Resume::Cold)
     }
 
-    /// [`Rtl2GdsFlow::run`] with an optional warm-start `seed`.
+    /// [`Rtl2GdsFlow::run`], resumed `from` a stage result of another
+    /// run.
     ///
-    /// When the seed validates against this configuration (matching
-    /// [`FlowConfig::placement_key`] and a placement shaped like what
-    /// this netlist's clustering produces), the annealing placer and row
-    /// legalisation are skipped: the seed's placement is adopted and its
-    /// recorded spans are replayed verbatim, so the report, artifacts
-    /// and span tree are **byte-identical** to a cold run — the seed
-    /// only removes wall-clock. [`FlowArtifacts::warm`] says whether the
-    /// warm path was taken; an invalid or mismatched seed silently falls
-    /// back to the cold path (never an error).
+    /// The flow is a chain of content-keyed stages: place + legalize
+    /// ([`FlowConfig::placement_key`]), opt + CTS
+    /// ([`FlowConfig::opt_key`]), then power + report. A stage result
+    /// whose key matches this configuration's is exactly what the stage
+    /// would recompute, so it is adopted and its recorded spans replayed
+    /// verbatim: the report, artifacts and span tree are
+    /// **byte-identical** to a cold run, and resuming only removes
+    /// wall-clock. [`FlowArtifacts::warm`] says whether a stage was
+    /// skipped; a mismatched or invalid seed silently falls back to the
+    /// cold path (never an error).
     ///
     /// # Errors
     ///
     /// Same as [`Rtl2GdsFlow::run`].
-    pub fn run_seeded(
-        &self,
-        seed: Option<Arc<PlacementSeed>>,
-    ) -> PdResult<(FlowReport, FlowArtifacts)> {
+    pub fn resume(&self, from: Resume) -> PdResult<(FlowReport, FlowArtifacts)> {
+        let seed = match from {
+            Resume::SignedOff(state) if state.opt_key == self.config.opt_key() => {
+                return self.power_stage(state, true);
+            }
+            Resume::SignedOff(state) => Some(Arc::clone(&state.seed)),
+            Resume::Placed(seed) => Some(seed),
+            Resume::Cold => None,
+        };
+        let (state, warm) = self.opt_stage(seed)?;
+        self.power_stage(Arc::new(state), warm)
+    }
+
+    /// Every stage before power: synthesis, floorplan, clustering,
+    /// placement and legalisation (adopting `seed` when it validates),
+    /// opt and CTS, and the report's activity-independent fields. Also
+    /// says whether the seed was adopted.
+    fn opt_stage(&self, seed: Option<Arc<PlacementSeed>>) -> PdResult<(SignoffState, bool)> {
         let cfg = &self.config;
         let mut span = SpanNode::new("flow");
 
@@ -412,52 +478,26 @@ impl Rtl2GdsFlow {
         );
         span.children.push(fps);
 
-        // --- Clustering + global placement ---------------------------------
+        // --- Clustering ---------------------------------------------------
         let clustering = Clustering::build(&netlist, &cfg.pdk)?;
         let mut cls = SpanNode::new("clustering");
         cls.counter("clusters", clustering.clusters.len() as u64);
         cls.counter("nets", clustering.nets.len() as u64);
         span.children.push(cls);
-        // --- Global placement + row legalisation ---------------------------
-        // A validated seed replays the seeding run's placement and spans
-        // verbatim (byte-identical by placement-key equality); otherwise
-        // the placer anneals cold and we record a fresh seed.
-        let (seed_out, warm) = match seed {
-            Some(s) if s.validates_against(cfg, &netlist, &clustering) => (s, true),
-            _ => {
-                let (mut placement, place_span) =
-                    place_traced(&clustering, &floorplan, &cfg.placer)?;
-                let (legalize_span, legalization_displacement_um) = if cfg.legalize {
-                    let leg =
-                        crate::legalize::legalize(&netlist, &placement, &floorplan, &cfg.pdk)?;
-                    placement.cell_pos = leg.cell_pos;
-                    let mut ls = SpanNode::new("legalize");
-                    ls.counter("rows_used", leg.rows_used as u64);
-                    ls.counter("far_placed", leg.far_placed as u64);
-                    ls.counter(
-                        "avg_displacement_nm",
-                        round_counter(leg.avg_displacement.value() * 1_000.0),
-                    );
-                    (Some(ls), leg.avg_displacement.value())
-                } else {
-                    (None, 0.0)
-                };
-                let seed = PlacementSeed {
-                    placement_key: cfg.placement_key(),
-                    placement,
-                    place_span,
-                    legalize_span,
-                    legalization_displacement_um,
-                };
-                (Arc::new(seed), false)
-            }
-        };
-        span.children.push(seed_out.place_span.clone());
-        span.children.extend(seed_out.legalize_span.clone());
-        let mut placement = seed_out.placement.clone();
-        let legalization_displacement_um = seed_out.legalization_displacement_um;
 
-        // --- Route, post-route optimisation, sign-off ----------------------
+        // --- Global placement + row legalisation ---------------------------
+        let (seed, warm) = match seed {
+            Some(s) if s.validates_against(cfg, &netlist, &clustering) => (s, true),
+            _ => (
+                Arc::new(self.place_stage(&netlist, &floorplan, &clustering)?),
+                false,
+            ),
+        };
+        span.children.push(seed.place_span.clone());
+        span.children.extend(seed.legalize_span.clone());
+        let mut placement = seed.placement.clone();
+
+        // --- Route, post-route optimisation, CTS ---------------------------
         let OptOutcome {
             upsized,
             buffers_inserted,
@@ -491,24 +531,8 @@ impl Rtl2GdsFlow {
             round_counter(clock_tree.skew_bound.value() * 1_000.0),
         );
         span.children.push(cts);
-        let power = analyze_power(
-            &netlist,
-            &routing,
-            &placement,
-            &floorplan,
-            &cfg.pdk,
-            floorplan.target_clock,
-            cfg.activity,
-        )?;
-        let mut pws = SpanNode::new("power");
-        pws.counter("total_uw", round_counter(power.total.value() * 1_000.0));
-        pws.counter(
-            "upper_tier_uw",
-            round_counter(power.upper_tier.value() * 1_000.0),
-        );
-        span.children.push(pws);
 
-        // --- Report ---------------------------------------------------------
+        // --- Activity-independent report fields ------------------------------
         let stats = m3d_netlist::NetlistStats::compute(&netlist, &cfg.pdk)?;
         let rram = cfg.soc.rram_macro()?;
         let array = rram.array_area(cfg.pdk.ilv())?;
@@ -520,7 +544,6 @@ impl Rtl2GdsFlow {
         } else {
             0
         };
-
         let report = FlowReport {
             design: netlist.name.clone(),
             cs_count: cfg.soc.cs_count,
@@ -544,25 +567,19 @@ impl Rtl2GdsFlow {
             achieved_mhz: timing.achieved_clock.value(),
             timing_met: timing.timing_met(),
             target_mhz: floorplan.target_clock.value(),
-            total_power_mw: power.total.value(),
-            cell_leakage_mw: power.cell_leakage.value(),
-            upper_tier_power_mw: power.upper_tier.value(),
-            upper_tier_fraction: power.upper_tier_fraction(),
-            peak_density_mw_per_mm2: power.peak_density_mw_per_mm2,
-            avg_density_mw_per_mm2: power.avg_density_mw_per_mm2,
-            hottest_cs_power_mw: power.hottest_cs_power_mw,
-            cs_stack_density_increase: {
-                let cs_density = power.hottest_cs_power_mw / cs_demand.as_mm2().max(1e-9);
-                if cs_density > 0.0 {
-                    power.upper_layer_density_mw_per_mm2 / cs_density
-                } else {
-                    0.0
-                }
-            },
+            total_power_mw: 0.0,
+            cell_leakage_mw: 0.0,
+            upper_tier_power_mw: 0.0,
+            upper_tier_fraction: 0.0,
+            peak_density_mw_per_mm2: 0.0,
+            avg_density_mw_per_mm2: 0.0,
+            hottest_cs_power_mw: 0.0,
+            cs_stack_density_increase: 0.0,
             rram_bandwidth_bits_per_cycle: rram.total_bandwidth_bits_per_cycle(),
-            legalization_displacement_um,
+            legalization_displacement_um: seed.legalization_displacement_um,
         };
-        let artifacts = FlowArtifacts {
+        let state = SignoffState {
+            opt_key: cfg.opt_key(),
             netlist,
             floorplan,
             clustering,
@@ -570,8 +587,91 @@ impl Rtl2GdsFlow {
             routing,
             timing,
             clock_tree,
+            seed,
+            span,
+            report,
+        };
+        Ok((state, warm))
+    }
+
+    /// Anneals and (when configured) legalises cold, recording the seed
+    /// every configuration sharing this placement key can resume from.
+    fn place_stage(
+        &self,
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        clustering: &Clustering,
+    ) -> PdResult<PlacementSeed> {
+        let cfg = &self.config;
+        let (mut placement, place_span) = place_traced(clustering, floorplan, &cfg.placer)?;
+        let (legalize_span, legalization_displacement_um) = if cfg.legalize {
+            let leg = crate::legalize::legalize(netlist, &placement, floorplan, &cfg.pdk)?;
+            placement.cell_pos = leg.cell_pos;
+            let mut ls = SpanNode::new("legalize");
+            ls.counter("rows_used", leg.rows_used as u64);
+            ls.counter("far_placed", leg.far_placed as u64);
+            ls.counter(
+                "avg_displacement_nm",
+                round_counter(leg.avg_displacement.value() * 1_000.0),
+            );
+            (Some(ls), leg.avg_displacement.value())
+        } else {
+            (None, 0.0)
+        };
+        Ok(PlacementSeed {
+            placement_key: cfg.placement_key(),
+            placement,
+            place_span,
+            legalize_span,
+            legalization_displacement_um,
+        })
+    }
+
+    /// Power + report, the one stage `activity` reaches: signs `state`
+    /// off at this configuration's activity.
+    fn power_stage(
+        &self,
+        state: Arc<SignoffState>,
+        warm: bool,
+    ) -> PdResult<(FlowReport, FlowArtifacts)> {
+        let cfg = &self.config;
+        let power = analyze_power(
+            &state.netlist,
+            &state.routing,
+            &state.placement,
+            &state.floorplan,
+            &cfg.pdk,
+            state.floorplan.target_clock,
+            cfg.activity,
+        )?;
+        let mut span = state.span.clone();
+        let mut pws = SpanNode::new("power");
+        pws.counter("total_uw", round_counter(power.total.value() * 1_000.0));
+        pws.counter(
+            "upper_tier_uw",
+            round_counter(power.upper_tier.value() * 1_000.0),
+        );
+        span.children.push(pws);
+
+        let cs_density = power.hottest_cs_power_mw / state.report.cs_demand_mm2.max(1e-9);
+        let report = FlowReport {
+            total_power_mw: power.total.value(),
+            cell_leakage_mw: power.cell_leakage.value(),
+            upper_tier_power_mw: power.upper_tier.value(),
+            upper_tier_fraction: power.upper_tier_fraction(),
+            peak_density_mw_per_mm2: power.peak_density_mw_per_mm2,
+            avg_density_mw_per_mm2: power.avg_density_mw_per_mm2,
+            hottest_cs_power_mw: power.hottest_cs_power_mw,
+            cs_stack_density_increase: if cs_density > 0.0 {
+                power.upper_layer_density_mw_per_mm2 / cs_density
+            } else {
+                0.0
+            },
+            ..state.report.clone()
+        };
+        let artifacts = FlowArtifacts {
+            signoff: state,
             power,
-            seed: seed_out,
             span,
             warm,
         };
@@ -634,7 +734,7 @@ mod tests {
         assert_eq!(report.signal_ilvs, 0, "no tier crossings in 2D");
         assert_eq!(report.upper_tier_power_mw, 0.0);
         assert!(report.extra_cs_capacity == 0, "Si selectors free nothing");
-        assert!(artifacts.netlist.lint().is_empty());
+        assert!(artifacts.signoff.netlist.lint().is_empty());
     }
 
     #[test]
@@ -687,8 +787,14 @@ mod tests {
         assert!(!place.children.is_empty(), "annealing step spans present");
         assert!(t1.find("route").is_some() && t1.find("sta").is_some());
         let cts = t1.find("cts").unwrap();
-        assert_eq!(cts.counter_value("sinks"), Some(a1.clock_tree.sinks as u64));
-        assert!(a1.clock_tree.buffers > 0, "CTS is wired into the flow");
+        assert_eq!(
+            cts.counter_value("sinks"),
+            Some(a1.signoff.clock_tree.sinks as u64)
+        );
+        assert!(
+            a1.signoff.clock_tree.buffers > 0,
+            "CTS is wired into the flow"
+        );
     }
 
     #[test]
@@ -723,7 +829,7 @@ mod tests {
         assert_eq!(report.cell_count, nl.cell_count());
         assert!(report.die_mm2 > 0.0);
         assert!(report.achieved_mhz > 0.0);
-        assert_eq!(artifacts.netlist.macros().len(), 0);
+        assert_eq!(artifacts.signoff.netlist.macros().len(), 0);
     }
 
     #[test]
@@ -733,7 +839,7 @@ mod tests {
         let full = FlowConfig::baseline_2d().with_cs(small_cs());
         for mut cold_cfg in [full.clone().quick(), full] {
             cold_cfg.activity = 0.20;
-            let (cr, ca) = Rtl2GdsFlow::new(cold_cfg.clone()).run_seeded(None).unwrap();
+            let (cr, ca) = Rtl2GdsFlow::new(cold_cfg.clone()).run().unwrap();
             assert!(!ca.warm);
 
             // A lattice neighbour: same placement key, different
@@ -743,18 +849,78 @@ mod tests {
             warm_cfg.activity = 0.25;
             warm_cfg.opt.upsize_threshold_ns = cold_cfg.opt.upsize_threshold_ns * 0.5;
             assert_eq!(warm_cfg.placement_key(), cold_cfg.placement_key());
+            assert_ne!(warm_cfg.opt_key(), cold_cfg.opt_key());
             assert_ne!(warm_cfg.stable_key(), cold_cfg.stable_key());
-            let (_, na) = Rtl2GdsFlow::new(warm_cfg).run_seeded(None).unwrap();
+            let (_, na) = Rtl2GdsFlow::new(warm_cfg).run().unwrap();
 
+            // Its sign-off state has another opt key, so only its seed
+            // is adopted.
             let (wr, wa) = Rtl2GdsFlow::new(cold_cfg)
-                .run_seeded(Some(na.seed))
+                .resume(Resume::SignedOff(na.signoff))
                 .unwrap();
             assert!(wa.warm, "matching placement key must take the warm path");
             assert_eq!(wr, cr, "warm report == cold report");
             assert_eq!(wa.span, ca.span, "warm span tree == cold span tree");
-            assert_eq!(wa.placement, ca.placement);
-            assert_eq!(wa.routing, ca.routing);
-            assert_eq!(wa.seed, ca.seed);
+            assert_eq!(wa.signoff.placement, ca.signoff.placement);
+            assert_eq!(wa.signoff.routing, ca.signoff.routing);
+            assert_eq!(wa.signoff.seed, ca.signoff.seed);
+        }
+    }
+
+    #[test]
+    fn signed_off_resume_runs_power_alone_byte_identically() {
+        let mut a = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
+        a.activity = 0.10;
+        let mut b = a.clone();
+        b.activity = 0.30;
+        assert_eq!(a.opt_key(), b.opt_key());
+        let (_, aa) = Rtl2GdsFlow::new(a).run().unwrap();
+        let (cr, ca) = Rtl2GdsFlow::new(b.clone()).run().unwrap();
+        let (wr, wa) = Rtl2GdsFlow::new(b)
+            .resume(Resume::SignedOff(Arc::clone(&aa.signoff)))
+            .unwrap();
+        assert!(wa.warm);
+        assert!(Arc::ptr_eq(&wa.signoff, &aa.signoff), "the state is shared");
+        assert_eq!(wr, cr);
+        assert_eq!(wa.span, ca.span);
+        assert_eq!(wa.power, ca.power);
+        assert_ne!(wr.total_power_mw, aa.power.total.value());
+    }
+
+    #[test]
+    fn opt_key_moves_with_every_opt_and_placement_input_but_not_activity() {
+        let base = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
+        let key = base.opt_key();
+        let mut act = base.clone();
+        act.activity *= 2.0;
+        assert_eq!(act.opt_key(), key, "activity reaches only power");
+        assert_ne!(act.stable_key(), base.stable_key());
+
+        let opt: [fn(&mut OptConfig); 4] = [
+            |o| o.max_rounds += 1,
+            |o| o.upsize_threshold_ns *= 0.5,
+            |o| o.buffer_length_um *= 0.5,
+            |o| o.detour *= 1.1,
+        ];
+        for (i, change) in opt.iter().enumerate() {
+            let mut c = base.clone();
+            change(&mut c.opt);
+            assert_ne!(c.opt_key(), key, "opt field {i}");
+            assert_eq!(c.placement_key(), base.placement_key(), "opt field {i}");
+        }
+        let placement: [fn(&mut FlowConfig); 6] = [
+            |c| c.pdk = Pdk::m3d_130nm(),
+            |c| c.soc.cs_count += 1,
+            |c| c.source = NetlistSource::External(Arc::new(Netlist::new("x"))),
+            |c| c.placer = PlacerConfig::default(),
+            |c| c.die_override = Some(Rect::new(0.0, 0.0, 1000.0, 1000.0)),
+            |c| c.legalize = !c.legalize,
+        ];
+        for (i, change) in placement.iter().enumerate() {
+            let mut c = base.clone();
+            change(&mut c);
+            assert_ne!(c.placement_key(), base.placement_key(), "input {i}");
+            assert_ne!(c.opt_key(), key, "input {i}");
         }
     }
 
@@ -763,22 +929,26 @@ mod tests {
         let cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
         let (cr, ca) = Rtl2GdsFlow::new(cfg.clone()).run().unwrap();
 
-        // Different placement key (placer effort differs) → cold.
+        // Different placement key (placer effort differs) → cold, from a
+        // seed or from a sign-off state.
         let mut other = cfg.clone();
         other.placer = PlacerConfig::default();
         assert_ne!(other.placement_key(), cfg.placement_key());
         let (_, oa) = Rtl2GdsFlow::new(other).run().unwrap();
-        let (r1, a1) = Rtl2GdsFlow::new(cfg.clone())
-            .run_seeded(Some(oa.seed))
-            .unwrap();
-        assert!(!a1.warm);
-        assert_eq!(r1, cr);
+        for from in [
+            Resume::Placed(Arc::clone(&oa.signoff.seed)),
+            Resume::SignedOff(oa.signoff),
+        ] {
+            let (r1, a1) = Rtl2GdsFlow::new(cfg.clone()).resume(from).unwrap();
+            assert!(!a1.warm);
+            assert_eq!(r1, cr);
+        }
 
         // Right key but truncated placement (a corrupt artifact) → cold.
-        let mut corrupt = (*ca.seed).clone();
+        let mut corrupt = (*ca.signoff.seed).clone();
         corrupt.placement.cell_pos.pop();
         let (r2, a2) = Rtl2GdsFlow::new(cfg)
-            .run_seeded(Some(Arc::new(corrupt)))
+            .resume(Resume::Placed(Arc::new(corrupt)))
             .unwrap();
         assert!(!a2.warm);
         assert_eq!(r2, cr);
@@ -813,12 +983,14 @@ mod tests {
 
             let (_, na) = Rtl2GdsFlow::new(a).run().unwrap();
             let (cr, ca) = Rtl2GdsFlow::new(b.clone()).run().unwrap();
-            let (wr, wa) = Rtl2GdsFlow::new(b).run_seeded(Some(na.seed)).unwrap();
+            let (wr, wa) = Rtl2GdsFlow::new(b)
+                .resume(Resume::Placed(Arc::clone(&na.signoff.seed)))
+                .unwrap();
             proptest::prop_assert!(wa.warm);
             proptest::prop_assert_eq!(wr, cr);
             proptest::prop_assert_eq!(wa.span, ca.span);
-            proptest::prop_assert_eq!(wa.placement, ca.placement);
-            proptest::prop_assert_eq!(wa.routing, ca.routing);
+            proptest::prop_assert_eq!(&wa.signoff.placement, &ca.signoff.placement);
+            proptest::prop_assert_eq!(&wa.signoff.routing, &ca.signoff.routing);
         }
     }
 

@@ -51,7 +51,7 @@ pub use error::{PdError, PdResult};
 pub use floorplan::{under_array_usable_area, FixedBlock, Floorplan, Region, RegionKind};
 pub use flow::{
     cs_geometric_demand, FlowArtifacts, FlowConfig, FlowReport, NetlistSource, PlacementSeed,
-    Rtl2GdsFlow,
+    Resume, Rtl2GdsFlow, SignoffState,
 };
 pub use geom::{BoundingBox, Point, Rect};
 pub use legalize::{legalize, LegalizeReport};

@@ -5,11 +5,15 @@
 #
 # Builds every target in release (benches and examples included: neither
 # `cargo build` nor `cargo test` compiles the benches), runs the whole
-# test suite, where every gate lives, and checks formatting and lints.
+# test suite, where every gate lives, then the benchmark's own contract
+# tests (the benchmark is a separate workspace, so this is the only gate
+# that it still compiles against the flow API and answers correctly),
+# and checks formatting and lints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --all-targets
 cargo test -q --workspace
+cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings

@@ -26,7 +26,14 @@ fn legalized_flow_is_drc_clean_before_buffering() {
     cfg.legalize = true;
     let (report, a) = Rtl2GdsFlow::new(cfg.clone()).run().unwrap();
     assert!(report.legalization_displacement_um > 0.0);
-    let drc = check_placement(&a.netlist, &a.placement, &a.floorplan, &cfg.pdk, true).unwrap();
+    let drc = check_placement(
+        &a.signoff.netlist,
+        &a.signoff.placement,
+        &a.signoff.floorplan,
+        &cfg.pdk,
+        true,
+    )
+    .unwrap();
     assert!(
         drc.is_clean(),
         "{} violations, first {:?}",
@@ -39,8 +46,15 @@ fn legalized_flow_is_drc_clean_before_buffering() {
 fn clock_tree_and_congestion_are_consistent_with_the_flow() {
     let cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
     let (report, a) = Rtl2GdsFlow::new(cfg.clone()).run().unwrap();
-    let cts = estimate_clock_tree(&a.netlist, &a.placement, &a.floorplan, &cfg.pdk).unwrap();
+    let cts = estimate_clock_tree(
+        &a.signoff.netlist,
+        &a.signoff.placement,
+        &a.signoff.floorplan,
+        &cfg.pdk,
+    )
+    .unwrap();
     let flops = a
+        .signoff
         .netlist
         .cells()
         .iter()
@@ -52,10 +66,10 @@ fn clock_tree_and_congestion_are_consistent_with_the_flow() {
     assert!(cts.insertion_delay.value() < report.critical_path_ns);
 
     let cong = analyze_congestion(
-        &a.netlist,
-        &a.placement,
-        &a.routing,
-        &a.floorplan,
+        &a.signoff.netlist,
+        &a.signoff.placement,
+        &a.signoff.routing,
+        &a.signoff.floorplan,
         &cfg.pdk,
         1000.0,
     );
@@ -85,7 +99,7 @@ fn timing_closes_across_corners() {
 fn worst_endpoint_table_is_populated() {
     let cfg = FlowConfig::baseline_2d().with_cs(small_cs()).quick();
     let (_, a) = Rtl2GdsFlow::new(cfg).run().unwrap();
-    let t = &a.timing;
+    let t = &a.signoff.timing;
     assert!(!t.worst_endpoints.is_empty());
     assert!((t.worst_endpoints[0].arrival_ns - t.critical_path.value()).abs() < 1e-9);
     for w in t.worst_endpoints.windows(2) {

@@ -40,7 +40,13 @@ fn measure(cfg: FlowConfig) -> (Bits, m3d::pd::Rect) {
     let place = artifacts.span.find("place").expect("place span");
     let clustering = artifacts.span.find("clustering").expect("clustering span");
     let bits = [
-        artifacts.seed.placement.inter_hpwl.value().to_bits(),
+        artifacts
+            .signoff
+            .seed
+            .placement
+            .inter_hpwl
+            .value()
+            .to_bits(),
         place.counter_value("final_hpwl_um").expect("final_hpwl_um"),
         report.wirelength_m.to_bits(),
         report.critical_path_ns.to_bits(),
@@ -51,7 +57,7 @@ fn measure(cfg: FlowConfig) -> (Bits, m3d::pd::Rect) {
         report.peak_density_mw_per_mm2.to_bits(),
         clustering.counter_value("clusters").expect("clusters"),
         clustering.counter_value("nets").expect("nets"),
-        artifacts.seed.placement.overflow.value().to_bits(),
+        artifacts.signoff.seed.placement.overflow.value().to_bits(),
     ];
     (bits, report.die)
 }

@@ -64,8 +64,8 @@ fn iso_footprint_pair_end_to_end() {
     assert!(r3d.cs_stack_density_increase < 0.05);
 
     // Netlists stay structurally clean through optimisation.
-    assert!(a2d.netlist.lint().is_empty());
-    assert!(a3d.netlist.lint().is_empty());
+    assert!(a2d.signoff.netlist.lint().is_empty());
+    assert!(a3d.signoff.netlist.lint().is_empty());
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn m3d_uses_freed_si_and_2d_cannot() {
     .run()
     .unwrap();
     assert!(r3d.extra_cs_capacity > 0);
-    assert!(a3d.floorplan.under_array_region().is_some());
+    assert!(a3d.signoff.floorplan.under_array_region().is_some());
 }
 
 #[test]

@@ -73,6 +73,11 @@ const RETIRED: &[&str] = &[
     "fig5_comparisons(",
     "from_flow_report(",
     "reestimate_routing",
+    // The seed-only warm path: a flow resumes from a stage result
+    // through `Rtl2GdsFlow::resume`, and the cache picks that result in
+    // `resume_point`.
+    "run_seeded",
+    "find_seed",
 ];
 
 /// Public modules nothing outside them reaches, each kept on purpose.
